@@ -707,23 +707,6 @@ let eco_model_factory () =
   in
   (overrides, models, factory_stats)
 
-let arrival_bits_eq (a : Sta.arrival) (b : Sta.arrival) =
-  Int64.equal (Int64.bits_of_float a.Sta.time) (Int64.bits_of_float b.Sta.time)
-  && Int64.equal (Int64.bits_of_float a.Sta.slew) (Int64.bits_of_float b.Sta.slew)
-  && a.Sta.edge = b.Sta.edge
-
-let report_bits_eq (a : Sta.report) (b : Sta.report) =
-  List.length a.Sta.arrivals = List.length b.Sta.arrivals
-  && List.for_all2
-       (fun (n1, a1) (n2, a2) -> String.equal n1 n2 && arrival_bits_eq a1 a2)
-       a.Sta.arrivals b.Sta.arrivals
-  && (match (a.Sta.critical_po, b.Sta.critical_po) with
-     | None, None -> true
-     | Some (n1, a1), Some (n2, a2) ->
-       String.equal n1 n2 && arrival_bits_eq a1 a2
-     | _ -> false)
-  && a.Sta.predecessors = b.Sta.predecessors
-
 type incr_result = {
   ir_cells : int;
   ir_levels : int;
@@ -884,7 +867,7 @@ let parallel_bench () =
   let t_sta_serial, _, report_serial = sta_run 1 in
   Printf.printf "  STA serial (1 domain): median %.4f s\n%!" t_sta_serial;
   let t_sta_par, sta_delta, report_par = sta_run sta_domains in
-  let sta_identical = report_bits_eq report_serial report_par in
+  let sta_identical = Sta.report_equal report_serial report_par in
   let sta_speedup =
     if t_sta_par > 0. then t_sta_serial /. t_sta_par else 1.
   in
@@ -989,7 +972,7 @@ let incremental_design rng pool th ~tech ~depth ~width ~trials =
     let t0 = Unix.gettimeofday () in
     ignore (Sta.reanalyze ~pool ir_full);
     t_full.(t) <- Unix.gettimeofday () -. t0;
-    if not (report_bits_eq (Sta.report ir) (Sta.report ir_full)) then
+    if not (Sta.report_equal (Sta.report ir) (Sta.report ir_full)) then
       identical := false
   done;
   let median a = Stats.percentile a 50. in
@@ -1308,7 +1291,7 @@ let verify_bench () =
   let t_pruned, r_pruned, pruned_evals =
     run_trials (Some (Prune.make ~never_proximate:prune ()))
   in
-  let identical = report_bits_eq r_full r_pruned in
+  let identical = Sta.report_equal r_full r_pruned in
   let speedup = if t_pruned > 0. then t_full /. t_pruned else 1. in
   Pool.shutdown pool;
   Printf.printf
@@ -1486,7 +1469,7 @@ let hazard_bench () =
   let t_pruned, r_pruned, pruned_evals =
     run_trials (Some (Prune.make ~quiet:mask ()))
   in
-  let identical = report_bits_eq r_full r_pruned in
+  let identical = Sta.report_equal r_full r_pruned in
   if not identical then begin
     (* name the diverging nets and the quiet verdicts of their drivers *)
     let by_cell = Hashtbl.create 64 in
@@ -1495,7 +1478,7 @@ let hazard_bench () =
       (Design.cells design);
     List.iter2
       (fun (n1, (a1 : Sta.arrival)) (_, (a2 : Sta.arrival)) ->
-        if not (arrival_bits_eq a1 a2) then begin
+        if not (Timing.arrival_eq a1 a2) then begin
           let quiet =
             match Hashtbl.find_opt by_cell n1 with
             | Some cl -> if mask cl then " (driver marked quiet!)" else ""
@@ -1587,7 +1570,7 @@ let hazard_bench () =
    BENCH_sense.json.                                                   *)
 
 module Sense = Proxim_sense.Sense
-module Netlist_text = Proxim_sta.Netlist_text
+module Netlist_file = Proxim_sta.Netlist_file
 
 (* exact two-frame boolean simulation of a whole design — the golden
    reference the Unsensitizable verdicts are drawn against *)
@@ -1852,7 +1835,7 @@ let sense_bench () =
   let fused = fused_of () in
   let t_fused, r_fused, fused_evals = run_trials (Some fused) in
   let counts = Prune.counts fused in
-  let identical = ref (report_bits_eq r_full r_fused) in
+  let identical = ref (Sta.report_equal r_full r_fused) in
   let designs_checked = ref 1 in
   (* ... and across independent random designs and every example netlist *)
   let check_design design pi =
@@ -1878,7 +1861,7 @@ let sense_bench () =
     let full = run None in
     let pruned = run (Some fused) in
     incr designs_checked;
-    if not (report_bits_eq full pruned) then identical := false
+    if not (Sta.report_equal full pruned) then identical := false
   in
   for _ = 1 to 10 do
     let d = random_layered_design rng ~tech:c.tech ~depth:3 ~width:20 in
@@ -1894,9 +1877,9 @@ let sense_bench () =
   List.iter
     (fun file ->
       if Sys.file_exists file then
-        match Netlist_text.parse_file c.tech file with
+        match Netlist_file.load c.tech file with
         | Error _ -> () (* lint fodder; not a loadable design *)
-        | Ok (_, d) ->
+        | Ok (_, d, _) ->
           (* an all-input stimulus when the reconvergence parities allow
              it, else one event per run — the single-vector STA refuses
              to order mixed edges at a cell *)
@@ -1981,7 +1964,7 @@ let sense_bench () =
 
 module Serve = Proxim_serve.Serve
 module Frame = Proxim_serve.Frame
-module Sjson = Proxim_lint.Json
+module Sjson = Proxim_util.Json
 
 (* percentile over a metrics histogram (log10-seconds axis): walk the
    merged bins to the target rank and interpolate inside the bin *)
@@ -2040,11 +2023,7 @@ let serve_bench () =
   subsection "offline reference";
   let _name, design = Synthgen.generate ~seed ~depth ~tech ~cells () in
   let factory = Sta.synthetic_factory ~seed:0 () in
-  let thresholds =
-    match Design.cells design with
-    | c :: _ -> Vtc.thresholds c.Design.gate
-    | [] -> failwith "generated design has no cells"
-  in
+  let thresholds = Netlist_file.thresholds tech design None in
   let pi =
     List.map
       (fun net ->
@@ -2140,7 +2119,7 @@ let serve_bench () =
   List.iter Thread.join threads;
   let bit_identical =
     Array.for_all
-      (function Some r -> report_bits_eq r offline | None -> false)
+      (function Some r -> Sta.report_equal r offline | None -> false)
       finals
   in
   let p a q = 1e3 *. Stats.percentile a q in

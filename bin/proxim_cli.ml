@@ -247,6 +247,7 @@ let run_storage fan_in points =
 (* ------------------------------------------------------------------ *)
 (* lint                                                                *)
 
+
 module Diagnostic = Proxim_lint.Diagnostic
 module Netlist_lint = Proxim_lint.Netlist_lint
 module Model_lint = Proxim_lint.Model_lint
@@ -347,32 +348,31 @@ let apply_code_filter filter diags =
   | `All | `Table -> diags
   | `Keep cs -> Diagnostic.filter_codes cs diags
 
-let print_report format diags =
-  match format with
-  | `Text -> print_string (Diagnostic.report_text diags)
-  | `Json -> print_endline (Diagnostic.report_json_string diags)
-  | `Sarif -> print_endline (Diagnostic.report_sarif_string diags)
+(* print the findings in [format] — the text form after the command's
+   own [header] — and return the --fail-on exit status *)
+let emit_report ?(header = ignore) format fail_on diags =
+  (match format with
+   | `Text ->
+     header ();
+     print_string (Diagnostic.report_text diags)
+   | `Json -> print_endline (Diagnostic.report_json_string diags)
+   | `Sarif -> print_endline (Diagnostic.report_sarif_string diags));
+  Diagnostic.exit_code ~fail_on diags
 
 let run_lint files format fail_on fanout_limit codes =
   match resolve_code_filter codes with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    2
+  | Error (`Msg m) -> usage_error m
   | Ok `Table -> print_code_table ()
   | Ok (`All | `Keep _) when files = [] ->
-    prerr_endline "proxim lint: need at least one FILE (or --codes)";
-    2
+    usage_error "proxim lint: need at least one FILE (or --codes)"
   | Ok filter ->
     let lint_one f =
       Obs_trace.with_span ~cat:"lint" ~args:[ ("file", f) ] "lint.file"
         (fun () -> lint_file ~fanout_limit f)
     in
-    let diags =
-      apply_code_filter filter
-        (Diagnostic.sort (List.concat_map lint_one files))
-    in
-    print_report format diags;
-    Diagnostic.exit_code ~fail_on diags
+    emit_report format fail_on
+      (apply_code_filter filter
+         (Diagnostic.sort (List.concat_map lint_one files)))
 
 (* ------------------------------------------------------------------ *)
 (* sta                                                                 *)
@@ -382,6 +382,7 @@ module Prune = Proxim_sta.Prune
 module Design = Proxim_sta.Design
 module Netlist_text = Proxim_sta.Netlist_text
 module Netlist_bin = Proxim_sta.Netlist_bin
+module Netlist_file = Proxim_sta.Netlist_file
 module Synthgen = Proxim_sta.Synthgen
 module Timing = Proxim_timing.Timing
 module Graph = Proxim_timing.Graph
@@ -443,24 +444,36 @@ let rec parse_all parse acc = function
     | Ok v -> parse_all parse (v :: acc) tl
     | Error e -> Error e)
 
-(* bit-exact report comparison, the --verify-eco gate: an incremental
-   update must reproduce a fresh analysis to the last bit *)
-let report_eq (r1 : Sta.report) (r2 : Sta.report) =
-  let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  let aeq (a : Sta.arrival) (b : Sta.arrival) =
-    feq a.Sta.time b.Sta.time && feq a.Sta.slew b.Sta.slew
-    && a.Sta.edge = b.Sta.edge
-  in
-  let alist_eq l1 l2 =
-    List.length l1 = List.length l2
-    && List.for_all2 (fun (n1, a1) (n2, a2) -> n1 = n2 && aeq a1 a2) l1 l2
-  in
-  alist_eq r1.Sta.arrivals r2.Sta.arrivals
-  && (match (r1.Sta.critical_po, r2.Sta.critical_po) with
-     | None, None -> true
-     | Some (n1, a1), Some (n2, a2) -> n1 = n2 && aeq a1 a2
-     | Some _, None | None, Some _ -> false)
-  && r1.Sta.predecessors = r2.Sta.predecessors
+(* the --pi/--pi-all/--eco stimulus of sta and the serve smoke client *)
+let with_stimulus ~cmd pi_specs pi_all_spec eco_specs k =
+  match
+    ( parse_all parse_pi_spec [] pi_specs,
+      parse_all parse_eco_spec [] eco_specs,
+      Option.fold ~none:(Ok None)
+        ~some:(fun s -> Result.map Option.some (parse_pi_all_spec s))
+        pi_all_spec )
+  with
+  | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
+    usage_error m
+  | Ok [], _, Ok None ->
+    usage_error
+      (Printf.sprintf "proxim %s: need at least one --pi event (or --pi-all)"
+         cmd)
+  | Ok named_pi, Ok ecos, Ok pi_all -> k named_pi pi_all ecos
+
+(* the netlist argument of every analysis subcommand, in either encoding;
+   an unreadable or malformed file is exit 1 *)
+let with_design file k =
+  match Netlist_file.load Tech.generic_5v file with
+  | Error m ->
+    prerr_endline m;
+    1
+  | Ok (name, design, file_th) -> k name design file_th
+
+let factory_of models_kind design th =
+  match models_kind with
+  | `Oracle -> Sta.oracle_factory design th
+  | `Synthetic -> Sta.synthetic_factory ()
 
 let apply_eco_to_pi pi = function
   | Sta.Touch_cell _ -> pi
@@ -554,176 +567,114 @@ let sta_prune_mask ?(sense = false) ~models ~thresholds design ~pi ~ecos () =
     Some (Prune.make ?unsensitizable:sm ~quiet:hm ~never_proximate:vm ())
   end
 
-(* one loader for both netlist encodings: route on the magic bytes, not
-   the file extension *)
-let load_design tech file =
-  if Netlist_bin.file_is_binary file then Netlist_bin.read_file tech file
-  else
-    match In_channel.with_open_text file In_channel.input_all with
-    | exception Sys_error m -> Error m
-    | text ->
-      Result.map
-        (fun (name, design) ->
-          let raw = Netlist_text.parse_raw tech text in
-          ( name,
-            design,
-            Option.map fst raw.Netlist_text.raw_thresholds ))
-        (Netlist_text.parse tech text)
+(* The arrivals / critical output / K-worst paths block.  `proxim sta`
+   and `proxim serve --smoke` both print it, and CI diffs one against the
+   other.  [paths po] gives the paths to the critical output [po]. *)
+let print_timing ~summary (report : Sta.report) ~paths =
+  if summary then
+    Printf.printf "arrivals: %d switching nets\n"
+      (List.length report.Sta.arrivals)
+  else begin
+    Printf.printf "arrivals:\n";
+    List.iter
+      (fun (net, (a : Sta.arrival)) ->
+        Printf.printf "  %-14s %8.1f ps  slew %7.1f ps  %s\n" net
+          (ps a.Sta.time) (ps a.Sta.slew) (edge_name a.Sta.edge))
+      report.Sta.arrivals
+  end;
+  match report.Sta.critical_po with
+  | None -> Printf.printf "no primary output switches\n"
+  | Some (po, a) ->
+    Printf.printf "critical output: %s at %.1f ps\n" po (ps a.Sta.time);
+    List.iteri
+      (fun i (p : Sta.path) ->
+        Printf.printf "path #%d (%8.1f ps): %s\n" (i + 1)
+          (ps p.Sta.path_arrival)
+          (String.concat " <- " p.Sta.path_nets))
+      (paths po)
 
 let run_sta file pi_specs pi_all_spec mode models_kind paths_k required_ps
     eco_specs verify_eco no_prune sense summary =
-  let tech = Tech.generic_5v in
-  match load_design tech file with
-  | Error m ->
-    prerr_endline m;
-    1
-  | Ok (name, design, file_th) -> (
-      match
-        ( parse_all parse_pi_spec [] pi_specs,
-          parse_all parse_eco_spec [] eco_specs,
-          Option.fold ~none:(Ok None)
-            ~some:(fun s -> Result.map Option.some (parse_pi_all_spec s))
-            pi_all_spec )
-      with
-      | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-        usage_error m
-      | Ok [], _, Ok None ->
-        usage_error "proxim sta: need at least one --pi event (or --pi-all)"
-      | Ok named_pi, Ok ecos, Ok pi_all ->
-        let pi =
-          match pi_all with
-          | None -> named_pi
-          | Some a ->
-            named_pi
-            @ List.filter_map
-                (fun net ->
-                  if List.mem_assoc net named_pi then None else Some (net, a))
-                (Design.primary_inputs design)
+  with_design file @@ fun name design file_th ->
+  with_stimulus ~cmd:"sta" pi_specs pi_all_spec eco_specs
+  @@ fun named_pi pi_all ecos ->
+  if paths_k < 1 then usage_error "proxim sta: --paths must be >= 1"
+  else
+    (* CLI boundary: an unknown net or cell in --eco is a user typo, not an
+       internal failure — report it like a lint error (exit 2) instead of
+       escaping as a raw exception with a backtrace. *)
+    try
+      let pi = Sta.with_pi_all design named_pi pi_all in
+      let th = Netlist_file.thresholds Tech.generic_5v design file_th in
+      let factory = factory_of models_kind design th in
+      let g = Design.graph design in
+      Printf.printf "design %s: %d cells, %d nets, %d levels\n" name
+        (Graph.cell_count g) (Graph.net_count g) (Graph.level_count g);
+      let prune =
+        if no_prune || mode <> Sta.Proximity then None
+        else
+          sta_prune_mask ~sense ~models:factory.Sta.models ~thresholds:th
+            design ~pi ~ecos ()
+      in
+      let analyze pi =
+        let ir =
+          Sta.build_ir ~mode ?prune ~models:factory.Sta.models ~thresholds:th
+            design ~pi
         in
-        if paths_k < 1 then begin
-          prerr_endline "proxim sta: --paths must be >= 1";
-          2
-        end
+        ignore (Sta.reanalyze ir : Timing.stats);
+        ir
+      in
+      let ir = analyze pi in
+      let show_results () =
+        let report = Sta.report ir in
+        print_timing ~summary report ~paths:(fun po ->
+            Sta.worst_paths ir ~po ~k:paths_k);
+        Option.iter
+          (fun req ->
+            Printf.printf "slacks (required %.1f ps):\n" req;
+            List.iter
+              (fun (net, slack) ->
+                Printf.printf "  %-14s %+8.1f ps\n" net (ps slack))
+              (Sta.po_slacks design report ~required:(req *. 1e-12)))
+          required_ps
+      in
+      show_results ();
+      let eco_ok =
+        if ecos = [] then true
         else begin
-          let th =
-            match file_th with
-            | Some th -> th
-            | None -> (
-              match Design.cells design with
-              | c :: _ -> Vtc.thresholds c.Design.gate
-              | [] -> (
-                match Gate.of_name tech "inv" with
-                | Ok g -> Vtc.thresholds g
-                | Error m -> failwith m))
-          in
-          let factory =
-            match models_kind with
-            | `Oracle -> Sta.oracle_factory design th
-            | `Synthetic -> Sta.synthetic_factory ()
-          in
-          let g = Design.graph design in
-          Printf.printf "design %s: %d cells, %d nets, %d levels\n" name
-            (Graph.cell_count g) (Graph.net_count g) (Graph.level_count g);
-          let prune =
-            if no_prune || mode <> Sta.Proximity then None
-            else
-              sta_prune_mask ~sense ~models:factory.Sta.models ~thresholds:th
-                design ~pi ~ecos ()
-          in
-          let ir =
-            Sta.build_ir ~mode ?prune ~models:factory.Sta.models
-              ~thresholds:th design ~pi
-          in
-          ignore (Sta.reanalyze ir : Timing.stats);
-          let show_results () =
-            let report = Sta.report ir in
-            if summary then
-              Printf.printf "arrivals: %d switching nets\n"
-                (List.length report.Sta.arrivals)
-            else begin
-              Printf.printf "arrivals:\n";
-              List.iter
-                (fun (net, (a : Sta.arrival)) ->
-                  Printf.printf "  %-14s %8.1f ps  slew %7.1f ps  %s\n" net
-                    (ps a.Sta.time) (ps a.Sta.slew) (edge_name a.Sta.edge))
-                report.Sta.arrivals
-            end;
-            (match report.Sta.critical_po with
-             | None -> Printf.printf "no primary output switches\n"
-             | Some (po, a) ->
-               Printf.printf "critical output: %s at %.1f ps\n" po
-                 (ps a.Sta.time);
-               List.iteri
-                 (fun i (p : Sta.path) ->
-                   Printf.printf "path #%d (%8.1f ps): %s\n" (i + 1)
-                     (ps p.Sta.path_arrival)
-                     (String.concat " <- " p.Sta.path_nets))
-                 (Sta.worst_paths ir ~po ~k:paths_k));
-            match required_ps with
-            | None -> ()
-            | Some req ->
-              Printf.printf "slacks (required %.1f ps):\n" req;
-              List.iter
-                (fun (net, slack) ->
-                  Printf.printf "  %-14s %+8.1f ps\n" net (ps slack))
-                (Sta.po_slacks design (Sta.report ir)
-                   ~required:(req *. 1e-12))
-          in
+          let stats = Sta.update ir ecos in
+          Printf.printf "\nECO: re-evaluated %d of %d cells (%d changed)\n"
+            stats.Timing.evaluated stats.Timing.total_cells
+            stats.Timing.changed;
           show_results ();
-          let eco_ok =
-            if ecos = [] then true
-            else begin
-              let stats = Sta.update ir ecos in
-              Printf.printf
-                "\nECO: re-evaluated %d of %d cells (%d changed)\n"
-                stats.Timing.evaluated stats.Timing.total_cells
-                stats.Timing.changed;
-              show_results ();
-              if not verify_eco then true
-              else begin
-                let pi' = List.fold_left apply_eco_to_pi pi ecos in
-                let fresh =
-                  Sta.build_ir ~mode ?prune ~models:factory.Sta.models
-                    ~thresholds:th design ~pi:pi'
-                in
-                ignore (Sta.reanalyze fresh : Timing.stats);
-                let same = report_eq (Sta.report ir) (Sta.report fresh) in
-                Printf.printf "incremental vs full re-analysis: %s\n"
-                  (if same then "bit-identical" else "MISMATCH");
-                same
-              end
-            end
-          in
-          (match prune with
-           | None -> ()
-           | Some p ->
-             let c = Prune.counts p in
-             Printf.printf
-               "proximity pruning: %d cell evaluations took the fast path \
-                (%d unsensitizable, %d quiet, %d never-proximate)\n"
-               (Sta.pruned_evaluations ir)
-               c.Prune.unsensitizable c.Prune.quiet
-               c.Prune.never_proximate);
-          let cs = factory.Sta.factory_stats () in
+          if not verify_eco then true
+          else begin
+            let fresh = analyze (List.fold_left apply_eco_to_pi pi ecos) in
+            let same = Sta.report_equal (Sta.report ir) (Sta.report fresh) in
+            Printf.printf "incremental vs full re-analysis: %s\n"
+              (if same then "bit-identical" else "MISMATCH");
+            same
+          end
+        end
+      in
+      Option.iter
+        (fun p ->
+          let c = Prune.counts p in
           Printf.printf
-            "model cache: %d hits, %d misses, %d waits, %d entries\n"
-            cs.Memo_cache.hits cs.Memo_cache.misses cs.Memo_cache.waits
-            cs.Memo_cache.entries;
-          if eco_ok then 0 else 1
-        end)
-
-(* CLI boundary: an unknown net or cell in --eco is a user typo, not an
-   internal failure — report it like a lint error (exit 2) instead of
-   escaping as a raw exception with a backtrace. *)
-let run_sta file pi_specs pi_all mode models_kind paths_k required_ps
-    eco_specs verify_eco no_prune sense summary =
-  try
-    run_sta file pi_specs pi_all mode models_kind paths_k required_ps
-      eco_specs verify_eco no_prune sense summary
-  with Sta.Unknown_eco_target { kind; name } ->
-    Printf.eprintf "proxim sta: error: --eco refers to unknown %s %s\n" kind
-      name;
-    2
+            "proximity pruning: %d cell evaluations took the fast path (%d \
+             unsensitizable, %d quiet, %d never-proximate)\n"
+            (Sta.pruned_evaluations ir)
+            c.Prune.unsensitizable c.Prune.quiet c.Prune.never_proximate)
+        prune;
+      let cs = factory.Sta.factory_stats () in
+      Printf.printf "model cache: %d hits, %d misses, %d waits, %d entries\n"
+        cs.Memo_cache.hits cs.Memo_cache.misses cs.Memo_cache.waits
+        cs.Memo_cache.entries;
+      if eco_ok then 0 else 1
+    with Sta.Unknown_eco_target { kind; name } ->
+      Printf.eprintf "proxim sta: error: --eco refers to unknown %s %s\n" kind
+        name;
+      2
 
 (* ------------------------------------------------------------------ *)
 (* gen / convert                                                       *)
@@ -733,70 +684,38 @@ let format_for ~explicit ~path =
   | Some f -> f
   | None -> if Filename.check_suffix path ".pxb" then `Binary else `Text
 
-(* Netlist_text.to_string never emits a thresholds directive, so a
-   binary file carrying one keeps it across a round-trip by injecting
-   the line just before the closing [end]. *)
-let text_with_thresholds ~name design th =
-  let s = Netlist_text.to_string ~name design in
-  match th with
-  | None -> s
-  | Some (t : Vtc.thresholds) ->
-    let line =
-      Printf.sprintf "thresholds %.17g %.17g %.17g\n" t.Vtc.vil t.Vtc.vih
-        t.Vtc.vdd
-    in
-    let tail = "end\n" in
-    if
-      String.length s >= String.length tail
-      && String.sub s (String.length s - String.length tail)
-           (String.length tail)
-         = tail
-    then
-      String.sub s 0 (String.length s - String.length tail) ^ line ^ tail
-    else s ^ line
+let write_netlist ?thresholds ~name design path = function
+  | `Binary -> Netlist_bin.write_file ?thresholds ~name design path
+  | `Text ->
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc
+          (Netlist_text.to_string ?thresholds ~name design))
 
 let run_gen cells seed depth window reach out fmt =
   match
     Synthgen.generate ~seed ~depth ~window ~reach ~tech:Tech.generic_5v
       ~cells ()
   with
-  | exception Invalid_argument m ->
-    prerr_endline ("proxim gen: " ^ m);
-    2
+  | exception Invalid_argument m -> usage_error ("proxim gen: " ^ m)
   | name, design ->
     let g = Design.graph design in
     (match out with
      | None -> print_string (Netlist_text.to_string ~name design)
      | Some path ->
-       (match format_for ~explicit:fmt ~path with
-        | `Binary -> Netlist_bin.write_file ~name design path
-        | `Text ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc
-                (Netlist_text.to_string ~name design)));
+       write_netlist ~name design path (format_for ~explicit:fmt ~path);
        Printf.printf "%s: %d cells, %d nets, %d levels -> %s\n" name
          (Graph.cell_count g) (Graph.net_count g) (Graph.level_count g) path);
     0
 
 let run_convert input output fmt =
-  let tech = Tech.generic_5v in
-  match load_design tech input with
-  | Error m ->
-    prerr_endline m;
-    1
-  | Ok (name, design, th) ->
-    let target = format_for ~explicit:fmt ~path:output in
-    (match target with
-     | `Binary -> Netlist_bin.write_file ?thresholds:th ~name design output
-     | `Text ->
-       Out_channel.with_open_bin output (fun oc ->
-           Out_channel.output_string oc
-             (text_with_thresholds ~name design th)));
-    Printf.printf "%s: %d cells -> %s (%s)\n" name
-      (List.length (Design.cells design))
-      output
-      (match target with `Binary -> "binary" | `Text -> "text");
-    0
+  with_design input (fun name design thresholds ->
+      let target = format_for ~explicit:fmt ~path:output in
+      write_netlist ?thresholds ~name design output target;
+      Printf.printf "%s: %d cells -> %s (%s)\n" name
+        (List.length (Design.cells design))
+        output
+        (match target with `Binary -> "binary" | `Text -> "text");
+      0)
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)
@@ -813,42 +732,20 @@ let run_profile file pi_specs mode models_kind =
   Obs_trace.enable ();
   let wall0 = Unix.gettimeofday () in
   let phase name f = Obs_trace.with_span ~cat:"phase" name f in
-  let parsed =
-    phase "parse" (fun () ->
-        match In_channel.with_open_text file In_channel.input_all with
-        | exception Sys_error m -> Error m
-        | text -> (
-          match Netlist_text.parse tech text with
-          | Error m -> Error m
-          | Ok (name, design) -> Ok (text, name, design)))
-  in
-  match parsed with
+  match phase "parse" (fun () -> Netlist_file.load tech file) with
   | Error m ->
     prerr_endline m;
     1
-  | Ok (text, name, design) -> (
+  | Ok (name, design, file_th) -> (
     match parse_all parse_pi_spec [] pi_specs with
     | Error (`Msg m) -> usage_error m
     | Ok [] -> usage_error "proxim profile: need at least one --pi event"
     | Ok pi ->
       let th =
         phase "thresholds" (fun () ->
-            let raw = Netlist_text.parse_raw tech text in
-            match raw.Netlist_text.raw_thresholds with
-            | Some (th, _) -> th
-            | None -> (
-              match Design.cells design with
-              | c :: _ -> Vtc.thresholds c.Design.gate
-              | [] -> (
-                match Gate.of_name tech "inv" with
-                | Ok g -> Vtc.thresholds g
-                | Error m -> failwith m)))
+            Netlist_file.thresholds tech design file_th)
       in
-      let factory =
-        match models_kind with
-        | `Oracle -> Sta.oracle_factory design th
-        | `Synthetic -> Sta.synthetic_factory ()
-      in
+      let factory = factory_of models_kind design th in
       phase "characterize" (fun () ->
           List.iter
             (fun c -> ignore (factory.Sta.models c : Models.t))
@@ -914,7 +811,7 @@ let run_profile file pi_specs mode models_kind =
       0)
 
 (* ------------------------------------------------------------------ *)
-(* verify                                                              *)
+(* verify / hazards                                                    *)
 
 (* --pi-window: a bare PS value sets the global arrival-time window,
    NET=PS overrides it for one net *)
@@ -937,231 +834,147 @@ let parse_window_spec s =
     | Some ps when ps >= 0. && net <> "" -> Ok (`Net (net, ps *. 1e-12))
     | Some _ | None -> bad ())
 
-let window_net_names windows =
-  List.filter_map (function `Net (n, _) -> Some n | `Global _ -> None) windows
+(* what an interval analysis (verify, hazards) starts from *)
+type interval_run = {
+  name : string;
+  design : Design.t;
+  th : Vtc.thresholds;
+  factory : Sta.factory;
+  events : Verify.pi_event list;  (** the --pi events widened by the windows *)
+  codes : [ `All | `Keep of Diagnostic.code list ];
+}
 
-let run_verify file pi_specs window_specs tau_window_ps mode models_kind
-    format fail_on codes_filter sense =
-  let tech = Tech.generic_5v in
-  match load_design tech file with
-  | exception Sys_error m ->
-    prerr_endline m;
-    1
-  | Error m ->
-    prerr_endline m;
-    1
-  | Ok (name, design, file_th) -> (
+let with_interval_run ~cmd file pi_specs window_specs tau_window_ps
+    models_kind codes_filter k =
+  (* CLI boundary: a typo'd --pi-window net name is a usage error (exit 2),
+     not a crash *)
+  try
+    with_design file @@ fun name design file_th ->
     match
       ( parse_all parse_pi_spec [] pi_specs,
         parse_all parse_window_spec [] window_specs,
         resolve_code_filter codes_filter )
     with
     | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-      prerr_endline m;
-      2
+      usage_error m
     | _, _, Ok `Table -> print_code_table ()
     | Ok [], _, _ ->
-      prerr_endline "proxim verify: need at least one --pi event";
-      2
-    | Ok pi, Ok windows, Ok codes ->
-      Verify.validate_window_nets design (window_net_names windows);
-      let th =
-        match file_th with
-        | Some th -> th
-        | None -> (
-          match Design.cells design with
-          | c :: _ -> Vtc.thresholds c.Design.gate
-          | [] -> (
-            match Gate.of_name tech "inv" with
-            | Ok g -> Vtc.thresholds g
-            | Error m -> failwith m))
+      usage_error (Printf.sprintf "proxim %s: need at least one --pi event" cmd)
+    | Ok pi, Ok windows, Ok ((`All | `Keep _) as codes) ->
+      Verify.validate_window_nets design
+        (List.filter_map
+           (function `Net (n, _) -> Some n | `Global _ -> None)
+           windows);
+      let th = Netlist_file.thresholds Tech.generic_5v design file_th in
+      let global =
+        List.fold_left
+          (fun acc -> function `Global w -> w | `Net _ -> acc)
+          0. windows
       in
-        let global =
-          List.fold_left
-            (fun acc -> function `Global w -> w | `Net _ -> acc)
-            0. windows
-        in
-        let window_for net =
-          List.fold_left
-            (fun acc -> function
-              | `Net (n, w) when n = net -> w
-              | `Net _ | `Global _ -> acc)
-            global windows
-        in
-        let tau_window = tau_window_ps *. 1e-12 in
-        let events =
-          List.map
-            (fun (net, a) ->
-              Verify.of_sta_event ~time_window:(window_for net) ~tau_window
-                (net, a))
-            pi
-        in
-        let factory =
-          match models_kind with
-          | `Oracle -> Sta.oracle_factory design th
-          | `Synthetic -> Sta.synthetic_factory ()
-        in
-        let v =
-          Verify.analyze ~mode ~models:factory.Sta.models ~thresholds:th
-            design ~pi:events
-        in
-        let v, refinement =
-          if not sense then (v, None)
-          else begin
-            let s = Sense.analyze design ~pi:(Sense.stimuli_of_events events) in
-            let v, r =
-              Verify.refine v ~unsensitizable:(Sense.pair_unsensitizable s)
-            in
-            (v, Some r)
-          end
-        in
-        let diags = apply_code_filter codes (Verify.check ~file v) in
-        (match format with
-         | `Text ->
-           let s = Verify.summary v in
-           Printf.printf
-             "design %s: %d cells, %d switching; never-proximate %d, \
-              always-proximate %d, may-be-proximate %d\n"
-             name s.Verify.total_cells s.Verify.switching_cells s.Verify.never
-             s.Verify.always s.Verify.may;
-           (match refinement with
-            | None -> ()
-            | Some (r : Verify.refinement) ->
-              Printf.printf
-                "sensitization refinement: %d pairs and %d cells converted \
-                 to never-proximate\n"
-                r.Verify.refined_pairs r.Verify.refined_cells);
-           print_string (Diagnostic.report_text diags)
-         | `Json | `Sarif -> print_report format diags);
-        Diagnostic.exit_code ~fail_on diags)
-
-(* CLI boundary: a typo'd --pi-window net name is a usage error (exit 2),
-   not a crash *)
-let run_verify file pi_specs window_specs tau_window_ps mode models_kind
-    format fail_on codes_filter sense =
-  try
-    run_verify file pi_specs window_specs tau_window_ps mode models_kind
-      format fail_on codes_filter sense
+      let window_for net =
+        List.fold_left
+          (fun acc -> function
+            | `Net (n, w) when n = net -> w
+            | `Net _ | `Global _ -> acc)
+          global windows
+      in
+      let tau_window = tau_window_ps *. 1e-12 in
+      let events =
+        List.map
+          (fun (net, a) ->
+            Verify.of_sta_event ~time_window:(window_for net) ~tau_window
+              (net, a))
+          pi
+      in
+      k
+        {
+          name;
+          design;
+          th;
+          factory = factory_of models_kind design th;
+          events;
+          codes;
+        }
   with Verify.Unknown_window_net { net } ->
     Printf.eprintf
-      "proxim verify: error: --pi-window names %s, which is not a primary \
-       input of the design\n"
-      net;
+      "proxim %s: error: --pi-window names %s, which is not a primary input \
+       of the design\n"
+      cmd net;
     2
 
-(* ------------------------------------------------------------------ *)
-(* hazards                                                             *)
+let run_verify file pi_specs window_specs tau_window_ps mode models_kind
+    format fail_on codes_filter sense =
+  with_interval_run ~cmd:"verify" file pi_specs window_specs tau_window_ps
+    models_kind codes_filter
+  @@ fun r ->
+  let v =
+    Verify.analyze ~mode ~models:r.factory.Sta.models ~thresholds:r.th
+      r.design ~pi:r.events
+  in
+  let v, refinement =
+    if not sense then (v, None)
+    else
+      let s = Sense.analyze r.design ~pi:(Sense.stimuli_of_events r.events) in
+      let v, refined =
+        Verify.refine v ~unsensitizable:(Sense.pair_unsensitizable s)
+      in
+      (v, Some refined)
+  in
+  emit_report format fail_on
+    (apply_code_filter r.codes (Verify.check ~file v))
+    ~header:(fun () ->
+      let s = Verify.summary v in
+      Printf.printf
+        "design %s: %d cells, %d switching; never-proximate %d, \
+         always-proximate %d, may-be-proximate %d\n"
+        r.name s.Verify.total_cells s.Verify.switching_cells s.Verify.never
+        s.Verify.always s.Verify.may;
+      Option.iter
+        (fun (refined : Verify.refinement) ->
+          Printf.printf
+            "sensitization refinement: %d pairs and %d cells converted to \
+             never-proximate\n"
+            refined.Verify.refined_pairs refined.Verify.refined_cells)
+        refinement)
 
 module Hazard = Proxim_hazard.Hazard
 
 let run_hazards file pi_specs window_specs tau_window_ps mode models_kind
     filter_margin_ps required_ps format fail_on codes_filter sense =
-  let tech = Tech.generic_5v in
-  match load_design tech file with
-  | exception Sys_error m ->
-    prerr_endline m;
-    1
-  | Error m ->
-    prerr_endline m;
-    1
-  | Ok (name, design, file_th) -> (
-    match
-      ( parse_all parse_pi_spec [] pi_specs,
-        parse_all parse_window_spec [] window_specs,
-        resolve_code_filter codes_filter )
-    with
-    | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-      prerr_endline m;
-      2
-    | _, _, Ok `Table -> print_code_table ()
-    | Ok [], _, _ ->
-      prerr_endline "proxim hazards: need at least one --pi event";
-      2
-    | Ok pi, Ok windows, Ok codes ->
-      Verify.validate_window_nets design (window_net_names windows);
-      let th =
-        match file_th with
-        | Some th -> th
-        | None -> (
-          match Design.cells design with
-          | c :: _ -> Vtc.thresholds c.Design.gate
-          | [] -> (
-            match Gate.of_name tech "inv" with
-            | Ok g -> Vtc.thresholds g
-            | Error m -> failwith m))
+  with_interval_run ~cmd:"hazards" file pi_specs window_specs tau_window_ps
+    models_kind codes_filter
+  @@ fun r ->
+  let rule =
+    match models_kind with
+    | `Synthetic -> Hazard.model_rule
+    | `Oracle -> Hazard.inertial_rule ~thresholds:r.th ()
+  in
+  let h =
+    Hazard.analyze ~mode
+      ~filter_margin:(filter_margin_ps *. 1e-12)
+      ?required:(Option.map (fun req -> req *. 1e-12) required_ps)
+      ~rule ~models:r.factory.Sta.models ~thresholds:r.th r.design ~pi:r.events
+  in
+  let h, refinement =
+    if not sense then (h, None)
+    else
+      let s = Sense.analyze r.design ~pi:(Sense.stimuli_of_events r.events) in
+      let h, refined =
+        Hazard.refine h ~impossible:(Sense.pair_unsensitizable s)
       in
-        let global =
-          List.fold_left
-            (fun acc -> function `Global w -> w | `Net _ -> acc)
-            0. windows
-        in
-        let window_for net =
-          List.fold_left
-            (fun acc -> function
-              | `Net (n, w) when n = net -> w
-              | `Net _ | `Global _ -> acc)
-            global windows
-        in
-        let tau_window = tau_window_ps *. 1e-12 in
-        let events =
-          List.map
-            (fun (net, a) ->
-              Verify.of_sta_event ~time_window:(window_for net) ~tau_window
-                (net, a))
-            pi
-        in
-        let factory =
-          match models_kind with
-          | `Oracle -> Sta.oracle_factory design th
-          | `Synthetic -> Sta.synthetic_factory ()
-        in
-        let rule =
-          match models_kind with
-          | `Synthetic -> Hazard.model_rule
-          | `Oracle -> Hazard.inertial_rule ~thresholds:th ()
-        in
-        let h =
-          Hazard.analyze ~mode
-            ~filter_margin:(filter_margin_ps *. 1e-12)
-            ?required:(Option.map (fun r -> r *. 1e-12) required_ps)
-            ~rule ~models:factory.Sta.models ~thresholds:th design ~pi:events
-        in
-        let h, refinement =
-          if not sense then (h, None)
-          else begin
-            let s = Sense.analyze design ~pi:(Sense.stimuli_of_events events) in
-            let h, r =
-              Hazard.refine h ~impossible:(Sense.pair_unsensitizable s)
-            in
-            (h, Some r)
-          end
-        in
-        let diags = apply_code_filter codes (Hazard.check ~file h) in
-        (match format with
-         | `Text ->
-           Printf.printf "design %s: %s" name (Hazard.report_text h);
-           (match refinement with
-            | None -> ()
-            | Some (r : Hazard.refinement) ->
-              Printf.printf
-                "sensitization refinement: %d impossible pairs dropped, %d \
-                 cells demoted\n"
-                r.Hazard.refined_pairs r.Hazard.refined_cells);
-           print_string (Diagnostic.report_text diags)
-         | `Json | `Sarif -> print_report format diags);
-        Diagnostic.exit_code ~fail_on diags)
-
-let run_hazards file pi_specs window_specs tau_window_ps mode models_kind
-    filter_margin_ps required_ps format fail_on codes_filter sense =
-  try
-    run_hazards file pi_specs window_specs tau_window_ps mode models_kind
-      filter_margin_ps required_ps format fail_on codes_filter sense
-  with Verify.Unknown_window_net { net } ->
-    Printf.eprintf
-      "proxim hazards: error: --pi-window names %s, which is not a primary \
-       input of the design\n"
-      net;
-    2
+      (h, Some refined)
+  in
+  emit_report format fail_on
+    (apply_code_filter r.codes (Hazard.check ~file h))
+    ~header:(fun () ->
+      Printf.printf "design %s: %s" r.name (Hazard.report_text h);
+      Option.iter
+        (fun (refined : Hazard.refinement) ->
+          Printf.printf
+            "sensitization refinement: %d impossible pairs dropped, %d cells \
+             demoted\n"
+            refined.Hazard.refined_pairs refined.Hazard.refined_cells)
+        refinement)
 
 (* ------------------------------------------------------------------ *)
 (* sense                                                               *)
@@ -1178,52 +991,239 @@ let parse_const_spec s =
 
 let run_sense file pi_specs const_specs budget max_support format fail_on
     codes_filter =
-  let tech = Tech.generic_5v in
-  match load_design tech file with
-  | exception Sys_error m ->
-    prerr_endline m;
+  with_design file @@ fun name design _file_th ->
+  match
+    ( parse_all parse_pi_spec [] pi_specs,
+      parse_all parse_const_spec [] const_specs,
+      resolve_code_filter codes_filter )
+  with
+  | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
+    usage_error m
+  | _, _, Ok `Table -> print_code_table ()
+  | Ok pi, Ok consts, Ok codes -> (
+    if budget < 1 then usage_error "proxim sense: --budget must be >= 1"
+    else if max_support < 0 then
+      usage_error "proxim sense: --support must be >= 0"
+    else
+      let events = List.map (Verify.of_sta_event ?time_window:None) pi in
+      match
+        Sense.analyze ~budget ~max_support design
+          ~pi:(Sense.stimuli_of_events ~consts events)
+      with
+      | exception Invalid_argument m -> usage_error ("proxim sense: " ^ m)
+      | s ->
+        emit_report format fail_on
+          (apply_code_filter codes (Sense.check ~file s))
+          ~header:(fun () ->
+            Printf.printf "design %s: %s" name (Sense.report_text s)))
+
+(* ------------------------------------------------------------------ *)
+(* serve                                                               *)
+
+module Serve = Proxim_serve.Serve
+module Sjson = Proxim_util.Json
+
+(* unix:PATH | tcp:HOST:PORT | bare PATH (a unix socket) *)
+let parse_addr s =
+  let prefixed p =
+    String.length s > String.length p
+    && String.sub s 0 (String.length p) = p
+  in
+  if prefixed "unix:" then
+    Ok (`Unix (String.sub s 5 (String.length s - 5)))
+  else if prefixed "tcp:" then begin
+    let rest = String.sub s 4 (String.length s - 4) in
+    match String.rindex_opt rest ':' with
+    | Some i -> (
+      let host = String.sub rest 0 i in
+      let port_s = String.sub rest (i + 1) (String.length rest - i - 1) in
+      match int_of_string_opt port_s with
+      | Some port when port >= 0 -> Ok (`Tcp (host, port))
+      | _ -> Error (Printf.sprintf "bad port in address %s" s))
+    | None -> Error (Printf.sprintf "bad address %s (tcp:HOST:PORT)" s)
+  end
+  else Ok (`Unix s)
+
+let addr_to_string = function
+  | `Unix path -> "unix:" ^ path
+  | `Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
+
+(* the daemon: bind, announce, serve until a protocol shutdown (or a
+   signal) stops it — a clean stop is exit 0 *)
+let run_serve_daemon addr =
+  match Serve.start addr with
+  | exception Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "proxim serve: cannot listen on %s: %s\n"
+      (addr_to_string addr) (Unix.error_message e);
     1
-  | Error m ->
-    prerr_endline m;
-    1
-  | Ok (name, design, _file_th) -> (
-    match
-      ( parse_all parse_pi_spec [] pi_specs,
-        parse_all parse_const_spec [] const_specs,
-        resolve_code_filter codes_filter )
-    with
-    | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-      prerr_endline m;
-      2
-    | _, _, Ok `Table -> print_code_table ()
-    | Ok pi, Ok consts, Ok codes -> (
-      if budget < 1 then begin
-        prerr_endline "proxim sense: --budget must be >= 1";
-        2
-      end
-      else if max_support < 0 then begin
-        prerr_endline "proxim sense: --support must be >= 0";
-        2
-      end
-      else
-        let events = List.map (Verify.of_sta_event ?time_window:None) pi in
-        match Sense.stimuli_of_events ~consts events with
-        | exception Invalid_argument m ->
-          prerr_endline ("proxim sense: " ^ m);
-          2
-        | stim -> (
-          match Sense.analyze ~budget ~max_support design ~pi:stim with
-          | exception Invalid_argument m ->
-            prerr_endline ("proxim sense: " ^ m);
-            2
-          | s ->
-            let diags = apply_code_filter codes (Sense.check ~file s) in
-            (match format with
-             | `Text ->
-               Printf.printf "design %s: %s" name (Sense.report_text s);
-               print_string (Diagnostic.report_text diags)
-             | `Json | `Sarif -> print_report format diags);
-            Diagnostic.exit_code ~fail_on diags)))
+  | srv ->
+    let announced =
+      match (addr, Serve.port srv) with
+      | `Tcp (host, _), Some p -> `Tcp (host, p)
+      | a, _ -> a
+    in
+    Printf.printf "proxim serve: listening on %s\n%!"
+      (addr_to_string announced);
+    List.iter
+      (fun s ->
+        try Sys.set_signal s (Sys.Signal_handle (fun _ -> Serve.stop srv))
+        with Invalid_argument _ | Sys_error _ -> ())
+      [ Sys.sigint; Sys.sigterm ];
+    Serve.wait srv;
+    Printf.printf "proxim serve: shut down cleanly\n%!";
+    0
+
+let serve_fail m =
+  prerr_endline ("proxim serve: " ^ m);
+  1
+
+let with_connection addr k =
+  match Serve.connect addr with
+  | exception Unix.Unix_error (e, _, _) ->
+    serve_fail
+      (Printf.sprintf "cannot connect to %s: %s" (addr_to_string addr)
+         (Unix.error_message e))
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () -> k fd)
+
+(* raw client: each --send payload goes out as one frame verbatim (so a
+   test can push deliberately broken JSON through the framing), and
+   each response prints as one line of JSON *)
+let run_serve_send addr payloads =
+  with_connection addr (fun fd ->
+      let rec go = function
+        | [] -> 0
+        | payload :: tl -> (
+          Proxim_serve.Frame.write fd payload;
+          match Proxim_serve.Frame.read fd with
+          | Ok response ->
+            print_endline response;
+            go tl
+          | Error e ->
+            serve_fail (Proxim_serve.Frame.read_error_to_string e))
+      in
+      go payloads)
+
+exception Smoke_failed of string
+
+(* one smoke request: a transport error or an ok:false answer ends the run *)
+let smoke_call fd op fields =
+  match Serve.request fd (Sjson.Obj (("op", Sjson.String op) :: fields)) with
+  | Error m -> raise (Smoke_failed m)
+  | Ok resp when Serve.ok resp -> resp
+  | Ok resp ->
+    raise
+      (Smoke_failed
+         (match Sjson.member "error" resp with
+          | Some e ->
+            Printf.sprintf "%s: %s"
+              (Option.value (Serve.error_code resp) ~default:"error")
+              (Option.value
+                 (Option.bind (Sjson.member "message" e)
+                    Sjson.to_string_value)
+                 ~default:"")
+          | None -> "request failed"))
+
+let list_member name j =
+  Option.value (Option.bind (Sjson.member name j) Sjson.to_list) ~default:[]
+
+(* smoke client for CI: drive load -> attach -> eco -> report through a
+   live daemon and print the result with `proxim sta`'s printer, so the
+   bytes can be diffed against offline analysis *)
+let run_serve_smoke addr file pi_specs pi_all_spec eco_specs mode paths_k =
+  with_stimulus ~cmd:"serve" pi_specs pi_all_spec eco_specs
+  @@ fun named_pi pi_all ecos ->
+  with_connection addr @@ fun fd ->
+  try
+    let abs =
+      if Filename.is_relative file then Filename.concat (Sys.getcwd ()) file
+      else file
+    in
+    let loaded = smoke_call fd "load" [ ("path", Sjson.String abs) ] in
+    let dname =
+      Option.value
+        (Option.bind (Sjson.member "design" loaded) Sjson.to_string_value)
+        ~default:""
+    in
+    ignore
+      (smoke_call fd "attach"
+         ([
+            ("design", Sjson.String dname);
+            ( "mode",
+              Sjson.String
+                (match mode with Sta.Classic -> "classic" | _ -> "proximity")
+            );
+            ("models", Sjson.String "synthetic");
+            ( "pi",
+              Sjson.List
+                (List.map
+                   (fun (net, a) ->
+                     Sjson.List [ Sjson.String net; Serve.arrival_to_json a ])
+                   named_pi) );
+          ]
+         @ Option.fold ~none:[]
+             ~some:(fun a -> [ ("pi_all", Serve.arrival_to_json a) ])
+             pi_all)
+        : Sjson.t);
+    if ecos <> [] then
+      ignore
+        (smoke_call fd "eco"
+           [ ("ecos", Sjson.List (List.map Serve.eco_to_json ecos)) ]
+          : Sjson.t);
+    let report =
+      match Sjson.member "report" (smoke_call fd "report" []) with
+      | None -> raise (Smoke_failed "response carries no report")
+      | Some rj -> (
+        match Serve.report_of_json rj with
+        | Ok report -> report
+        | Error m -> raise (Smoke_failed m))
+    in
+    print_timing ~summary:false report ~paths:(fun po ->
+        smoke_call fd "paths"
+          [
+            ("po", Sjson.String po);
+            ("k", Sjson.Number (float_of_int paths_k));
+          ]
+        |> list_member "paths"
+        |> List.map (fun p ->
+               {
+                 Sta.path_arrival =
+                   Option.value
+                     (Option.bind (Sjson.member "arrival" p) Sjson.to_number)
+                     ~default:Float.nan;
+                 path_nets =
+                   List.filter_map Sjson.to_string_value (list_member "nets" p);
+               }));
+    ignore (smoke_call fd "bye" [] : Sjson.t);
+    0
+  with Smoke_failed m -> serve_fail m
+
+let run_serve listen_s connect_s payloads smoke_file pi_specs pi_all_spec
+    eco_specs mode paths_k =
+  let with_addr s k =
+    match parse_addr s with Error m -> usage_error m | Ok a -> k a
+  in
+  match (connect_s, smoke_file, payloads) with
+  | None, None, [] -> (
+    match listen_s with
+    | Some s -> with_addr s run_serve_daemon
+    | None ->
+      usage_error
+        "proxim serve: pass --listen ADDR to serve, or --connect ADDR with \
+         --send/--smoke to talk to a daemon")
+  | None, _, _ ->
+    usage_error "proxim serve: --send/--smoke need --connect ADDR"
+  | Some _, Some _, _ :: _ ->
+    usage_error "proxim serve: --send and --smoke are mutually exclusive"
+  | Some c, None, (_ :: _ as payloads) ->
+    with_addr c (fun a -> run_serve_send a payloads)
+  | Some c, Some file, [] ->
+    with_addr c (fun a ->
+        run_serve_smoke a file pi_specs pi_all_spec eco_specs mode paths_k)
+  | Some _, None, [] ->
+    usage_error "proxim serve: --connect needs --send or --smoke"
 
 (* ------------------------------------------------------------------ *)
 (* cmdliner wiring                                                     *)
@@ -1307,6 +1307,132 @@ let finish_obs obs code =
      print_endline (Obs_metrics.to_json (Obs_metrics.snapshot ())));
   code
 
+(* Flags shared by several subcommands, each defined once.  Only the
+   --models default and the --mode choices differ between commands. *)
+
+let file_arg =
+  Arg.(
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"FILE"
+        ~doc:
+          "Netlist to read: text (.ntl) or binary (.pxb), detected by \
+           content.")
+
+let pi_arg =
+  Arg.(
+    value & opt_all string []
+    & info [ "pi" ] ~docv:"EVENT"
+        ~doc:
+          "Primary-input event as net:edge:tau_ps:cross_ps (repeatable), \
+           e.g. --pi a:fall:500:0.  Under hazards and sense, edges may mix \
+           freely and two events on one net describe a pulse.")
+
+let pi_all_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "pi-all" ] ~docv:"EVENT"
+        ~doc:
+          "Apply one event as edge:tau_ps:cross_ps to every primary input \
+           not already named by a --pi option — the practical way to drive \
+           generated designs with thousands of inputs.")
+
+let eco_arg =
+  Arg.(
+    value & opt_all string []
+    & info [ "eco" ] ~docv:"EDIT"
+        ~doc:
+          "Apply an engineering change order after the initial analysis and \
+           re-analyze incrementally (repeatable): \
+           pi:NET:EDGE:TAU_PS:CROSS_PS re-times a primary input, \
+           pi:NET:quiet silences one, cell:NAME marks a cell \
+           re-characterized.")
+
+let paths_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "paths" ] ~docv:"K"
+        ~doc:"Enumerate the K worst paths to the critical output.")
+
+(* [~baselines] adds the collapse-to-inverter modes, which only sta runs *)
+let mode_arg ~baselines =
+  let baseline_modes =
+    [ ("jun", Sta.Collapsed Collapse.Jun);
+      ("nabavi-lishi", Sta.Collapsed Collapse.Nabavi_lishi) ]
+  in
+  Arg.(
+    value
+    & opt
+        (enum
+           ([ ("classic", Sta.Classic); ("proximity", Sta.Proximity) ]
+           @ if baselines then baseline_modes else []))
+        Sta.Proximity
+    & info [ "mode" ] ~docv:"MODE"
+        ~doc:
+          ("Propagation mode: classic (latest single-input response) or \
+            proximity (the paper's algorithm, default)"
+          ^
+          if baselines then
+            "; jun or nabavi-lishi run the collapse-to-inverter baselines on \
+             the golden simulator."
+          else "."))
+
+let models_arg default =
+  Arg.(
+    value
+    & opt (enum [ ("oracle", `Oracle); ("synthetic", `Synthetic) ]) default
+    & info [ "models" ] ~docv:"KIND"
+        ~doc:
+          "Cell models: oracle (golden-simulator backed) or synthetic (fast \
+           analytic stand-ins).  hazards also takes its section-6 rule from \
+           this choice: bisected inertial minimum separations with oracle, \
+           the macromodel surrogate rule with synthetic.")
+
+let pi_window_arg =
+  Arg.(
+    value & opt_all string []
+    & info [ "pi-window" ] ~docv:"PS|NET=PS"
+        ~doc:
+          "Arrival-time uncertainty window, ±PS picoseconds (repeatable): a \
+           bare value applies to every event, NET=PS overrides one net. \
+           Default ±0 (the concrete events).")
+
+let tau_window_arg =
+  Arg.(
+    value & opt float 0.
+    & info [ "tau-window" ] ~docv:"PS"
+        ~doc:"Transition-time uncertainty window, ±PS, for every event.")
+
+let report_format_arg =
+  Arg.(
+    value
+    & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ]) `Text
+    & info [ "format" ] ~docv:"FMT"
+        ~doc:"Report format: text, json or sarif (SARIF 2.1.0).")
+
+let fail_on_arg =
+  Arg.(
+    value
+    & opt
+        (enum [ ("warning", Diagnostic.Warning); ("error", Diagnostic.Error) ])
+        Diagnostic.Warning
+    & info [ "fail-on" ] ~docv:"SEV"
+        ~doc:
+          "Lowest severity that makes the exit status nonzero: warning \
+           (default) or error.")
+
+let codes_arg =
+  Arg.(
+    value
+    & opt ~vopt:(Some "") (some string) None
+    & info [ "codes" ] ~docv:"CODES"
+        ~doc:
+          "Without a value, print the diagnostic-code table and exit.  With \
+           a comma-separated list of codes or glob patterns (e.g. \
+           PX101,PX112 or PX3*,PX40?), keep only those codes — the filter \
+           applies before --fail-on computes the exit status.")
+
 let vtc_cmd =
   Cmd.v (Cmd.info "vtc" ~doc:"Print the VTC family and chosen thresholds")
     Term.(const (fun () g -> run_vtc g) $ domains_setup $ gate_arg)
@@ -1362,44 +1488,14 @@ let lint_cmd =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"FILE"
-          ~doc:"Netlist (.ntl) or characterized-store file to lint.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ])
-          `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Report format: text, json or sarif (SARIF 2.1.0).")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("warning", Diagnostic.Warning); ("error", Diagnostic.Error) ])
-          Diagnostic.Warning
-      & info [ "fail-on" ] ~docv:"SEV"
           ~doc:
-            "Lowest severity that makes the exit status nonzero: warning \
-             (default) or error.")
+            "Netlist (text or binary) or characterized-store file to lint.")
   in
   let fanout_limit =
     Arg.(
       value & opt int Netlist_lint.default_options.Netlist_lint.fanout_limit
       & info [ "fanout-limit" ] ~docv:"N"
           ~doc:"Fanout above which PX112 fires.")
-  in
-  let codes =
-    Arg.(
-      value
-      & opt ~vopt:(Some "") (some string) None
-      & info [ "codes" ] ~docv:"CODES"
-          ~doc:
-            "Without a value, print the diagnostic-code table and exit. \
-             With a comma-separated list of codes or glob patterns (e.g. \
-             PX101,PX112 or PX1*,PX30?), keep only those codes — the \
-             filter applies before --fail-on computes the exit status.")
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1408,75 +1504,16 @@ let lint_cmd =
           stores")
     Term.(
       const (fun obs fs fmt fo fl c -> finish_obs obs (run_lint fs fmt fo fl c))
-      $ obs_setup $ files $ format $ fail_on $ fanout_limit $ codes)
+      $ obs_setup $ files $ report_format_arg $ fail_on_arg $ fanout_limit
+      $ codes_arg)
 
 let sta_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:
-            "Netlist to analyze: text (.ntl) or binary (.pxb), detected by \
-             content.")
-  in
-  let pi =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi" ] ~docv:"EVENT"
-          ~doc:
-            "Primary-input event as net:edge:tau_ps:cross_ps (repeatable), \
-             e.g. --pi a:fall:500:0.")
-  in
-  let mode =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("classic", Sta.Classic);
-               ("proximity", Sta.Proximity);
-               ("jun", Sta.Collapsed Collapse.Jun);
-               ("nabavi-lishi", Sta.Collapsed Collapse.Nabavi_lishi) ])
-          Sta.Proximity
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "Propagation mode: classic (latest single-input response), \
-             proximity (the paper's algorithm, default), jun or \
-             nabavi-lishi (collapse-to-inverter baselines on the golden \
-             simulator).")
-  in
-  let models =
-    Arg.(
-      value
-      & opt (enum [ ("oracle", `Oracle); ("synthetic", `Synthetic) ]) `Oracle
-      & info [ "models" ] ~docv:"KIND"
-          ~doc:
-            "Cell models: oracle (golden-simulator backed, default) or \
-             synthetic (fast analytic stand-ins, for flow experiments).")
-  in
-  let paths =
-    Arg.(
-      value & opt int 1
-      & info [ "paths" ] ~docv:"K"
-          ~doc:"Enumerate the K worst paths to the critical output.")
-  in
   let required =
     Arg.(
       value
       & opt (some float) None
       & info [ "required" ] ~docv:"PS"
           ~doc:"Required arrival time; prints per-output slacks.")
-  in
-  let eco =
-    Arg.(
-      value & opt_all string []
-      & info [ "eco" ] ~docv:"EDIT"
-          ~doc:
-            "Apply an engineering change order after the initial analysis \
-             and re-analyze incrementally (repeatable): \
-             pi:NET:EDGE:TAU_PS:CROSS_PS re-times a primary input, \
-             pi:NET:quiet silences one, cell:NAME marks a cell \
-             re-characterized.")
   in
   let verify_eco =
     Arg.(
@@ -1494,16 +1531,6 @@ let sta_cmd =
             "Disable the static never-proximate pruning that proximity-mode \
              analyses apply by default (the pruned analysis is bit-identical \
              by construction; this flag exists to measure it).")
-  in
-  let pi_all =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "pi-all" ] ~docv:"EVENT"
-          ~doc:
-            "Apply one event as edge:tau_ps:cross_ps to every primary input \
-             not already named by a --pi option — the practical way to \
-             drive generated designs with thousands of inputs.")
   in
   let sense =
     Arg.(
@@ -1530,90 +1557,11 @@ let sta_cmd =
     Term.(
       const (fun () obs f p pa m k pk r e v np sn s ->
           finish_obs obs (run_sta f p pa m k pk r e v np sn s))
-      $ domains_setup $ obs_setup $ file $ pi $ pi_all $ mode $ models
-      $ paths $ required $ eco $ verify_eco $ no_prune $ sense $ summary)
+      $ domains_setup $ obs_setup $ file_arg $ pi_arg $ pi_all_arg
+      $ mode_arg ~baselines:true $ models_arg `Oracle $ paths_arg $ required
+      $ eco_arg $ verify_eco $ no_prune $ sense $ summary)
 
 let verify_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Netlist (.ntl) to verify.")
-  in
-  let pi =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi" ] ~docv:"EVENT"
-          ~doc:
-            "Primary-input event as net:edge:tau_ps:cross_ps (repeatable), \
-             e.g. --pi a:fall:500:0.")
-  in
-  let windows =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi-window" ] ~docv:"PS|NET=PS"
-          ~doc:
-            "Arrival-time uncertainty window, ±PS picoseconds (repeatable): \
-             a bare value applies to every event, NET=PS overrides one net. \
-             Default ±0 (the concrete events).")
-  in
-  let tau_window =
-    Arg.(
-      value & opt float 0.
-      & info [ "tau-window" ] ~docv:"PS"
-          ~doc:"Transition-time uncertainty window, ±PS, for every event.")
-  in
-  let mode =
-    Arg.(
-      value
-      & opt
-          (enum [ ("classic", Sta.Classic); ("proximity", Sta.Proximity) ])
-          Sta.Proximity
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "Analysis mode the intervals abstract: proximity (default) or \
-             classic.")
-  in
-  let models =
-    Arg.(
-      value
-      & opt (enum [ ("oracle", `Oracle); ("synthetic", `Synthetic) ]) `Synthetic
-      & info [ "models" ] ~docv:"KIND"
-          ~doc:
-            "Cell models: synthetic (fast analytic stand-ins, default) or \
-             oracle (golden-simulator backed).")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ])
-          `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Report format: text, json or sarif (SARIF 2.1.0).")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("warning", Diagnostic.Warning); ("error", Diagnostic.Error) ])
-          Diagnostic.Warning
-      & info [ "fail-on" ] ~docv:"SEV"
-          ~doc:
-            "Lowest severity that makes the exit status nonzero: warning \
-             (default) or error.")
-  in
-  let codes =
-    Arg.(
-      value
-      & opt ~vopt:(Some "") (some string) None
-      & info [ "codes" ] ~docv:"CODES"
-          ~doc:
-            "Comma-separated diagnostic codes or glob patterns to keep \
-             (e.g. PX301,PX304 or PX3*); everything else is dropped from \
-             the report and the exit status.  Without a value, print the \
-             code table and exit.")
-  in
   let sense =
     Arg.(
       value & flag
@@ -1631,63 +1579,11 @@ let verify_cmd =
     Term.(
       const (fun () obs f p w tw m mk fmt fo c sn ->
           finish_obs obs (run_verify f p w tw m mk fmt fo c sn))
-      $ domains_setup $ obs_setup $ file $ pi $ windows $ tau_window $ mode
-      $ models $ format $ fail_on $ codes $ sense)
+      $ domains_setup $ obs_setup $ file_arg $ pi_arg $ pi_window_arg
+      $ tau_window_arg $ mode_arg ~baselines:false $ models_arg `Synthetic
+      $ report_format_arg $ fail_on_arg $ codes_arg $ sense)
 
 let hazards_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Netlist (.ntl) to analyze.")
-  in
-  let pi =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi" ] ~docv:"EVENT"
-          ~doc:
-            "Primary-input event as net:edge:tau_ps:cross_ps (repeatable). \
-             Unlike sta/verify, edges may mix freely; two events on one \
-             net describe a pulse.")
-  in
-  let windows =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi-window" ] ~docv:"PS|NET=PS"
-          ~doc:
-            "Arrival-time uncertainty window, ±PS picoseconds (repeatable): \
-             a bare value applies to every event, NET=PS overrides one net. \
-             Default ±0 (the concrete events).")
-  in
-  let tau_window =
-    Arg.(
-      value & opt float 0.
-      & info [ "tau-window" ] ~docv:"PS"
-          ~doc:"Transition-time uncertainty window, ±PS, for every event.")
-  in
-  let mode =
-    Arg.(
-      value
-      & opt
-          (enum [ ("classic", Sta.Classic); ("proximity", Sta.Proximity) ])
-          Sta.Proximity
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "Same-edge window transfer the analysis abstracts: proximity \
-             (default) or classic.")
-  in
-  let models =
-    Arg.(
-      value
-      & opt (enum [ ("oracle", `Oracle); ("synthetic", `Synthetic) ])
-          `Synthetic
-      & info [ "models" ] ~docv:"KIND"
-          ~doc:
-            "Cell models and section-6 rule: synthetic (analytic stand-ins \
-             with the macromodel surrogate rule, default) or oracle \
-             (golden-simulator models with bisected inertial minimum \
-             separations).")
-  in
   let filter_margin =
     Arg.(
       value & opt float 25.
@@ -1705,37 +1601,6 @@ let hazards_cmd =
             "Primary-output required time for the observability pass; \
              defaults to the latest arrival bound in the design (every \
              reachable glitch observable).")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ])
-          `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Report format: text, json or sarif (SARIF 2.1.0).")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("warning", Diagnostic.Warning); ("error", Diagnostic.Error) ])
-          Diagnostic.Warning
-      & info [ "fail-on" ] ~docv:"SEV"
-          ~doc:
-            "Lowest severity that makes the exit status nonzero: warning \
-             (default) or error.")
-  in
-  let codes =
-    Arg.(
-      value
-      & opt ~vopt:(Some "") (some string) None
-      & info [ "codes" ] ~docv:"CODES"
-          ~doc:
-            "Comma-separated diagnostic codes or glob patterns to keep \
-             (e.g. PX401,PX402 or PX40?); everything else is dropped from \
-             the report and the exit status.  Without a value, print the \
-             code table and exit.")
   in
   let sense =
     Arg.(
@@ -1755,31 +1620,20 @@ let hazards_cmd =
     Term.(
       const (fun () obs f p w tw m mk fm r fmt fo c sn ->
           finish_obs obs (run_hazards f p w tw m mk fm r fmt fo c sn))
-      $ domains_setup $ obs_setup $ file $ pi $ windows $ tau_window $ mode
-      $ models $ filter_margin $ required $ format $ fail_on $ codes $ sense)
+      $ domains_setup $ obs_setup $ file_arg $ pi_arg $ pi_window_arg
+      $ tau_window_arg $ mode_arg ~baselines:false $ models_arg `Synthetic
+      $ filter_margin $ required $ report_format_arg $ fail_on_arg $ codes_arg
+      $ sense)
 
 let sense_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Netlist (text or binary) to analyze.")
-  in
-  let pi =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi" ] ~docv:"EVENT"
-          ~doc:
-            "Primary-input event as net:edge:tau_ps:cross_ps (repeatable); \
-             only the net and edge matter here.  Two events on one net \
-             describe a pulse.  Inputs named by neither --pi nor --const \
-             are free (quiet at an unknown level).")
-  in
   let consts =
     Arg.(
       value & opt_all string []
       & info [ "const" ] ~docv:"NET=0|1"
-          ~doc:"Pin a quiet primary input at a logic level (repeatable).")
+          ~doc:
+            "Pin a quiet primary input at a logic level (repeatable).  Only \
+             the net and edge of a --pi event matter here; inputs named by \
+             neither --pi nor --const are free (quiet at an unknown level).")
   in
   let budget =
     Arg.(
@@ -1797,37 +1651,6 @@ let sense_cmd =
             "Free-input limit per pair: at most 2^N cubes are enumerated \
              before the engine gives up.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ])
-          `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Report format: text, json or sarif (SARIF 2.1.0).")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("warning", Diagnostic.Warning); ("error", Diagnostic.Error) ])
-          Diagnostic.Warning
-      & info [ "fail-on" ] ~docv:"SEV"
-          ~doc:
-            "Lowest severity that makes the exit status nonzero: warning \
-             (default) or error.")
-  in
-  let codes =
-    Arg.(
-      value
-      & opt ~vopt:(Some "") (some string) None
-      & info [ "codes" ] ~docv:"CODES"
-          ~doc:
-            "Comma-separated diagnostic codes or glob patterns to keep \
-             (e.g. PX503 or PX5*); everything else is dropped from the \
-             report and the exit status.  Without a value, print the code \
-             table and exit.")
-  in
   Cmd.v
     (Cmd.info "sense"
        ~doc:
@@ -1836,42 +1659,10 @@ let sense_cmd =
     Term.(
       const (fun () obs f p cn b su fmt fo c ->
           finish_obs obs (run_sense f p cn b su fmt fo c))
-      $ domains_setup $ obs_setup $ file $ pi $ consts $ budget $ support
-      $ format $ fail_on $ codes)
+      $ domains_setup $ obs_setup $ file_arg $ pi_arg $ consts $ budget
+      $ support $ report_format_arg $ fail_on_arg $ codes_arg)
 
 let profile_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Netlist (.ntl) to profile.")
-  in
-  let pi =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi" ] ~docv:"EVENT"
-          ~doc:
-            "Primary-input event as net:edge:tau_ps:cross_ps (repeatable), \
-             e.g. --pi a:fall:500:0.")
-  in
-  let mode =
-    Arg.(
-      value
-      & opt
-          (enum [ ("classic", Sta.Classic); ("proximity", Sta.Proximity) ])
-          Sta.Proximity
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:"Propagation mode: proximity (default) or classic.")
-  in
-  let models =
-    Arg.(
-      value
-      & opt (enum [ ("oracle", `Oracle); ("synthetic", `Synthetic) ]) `Oracle
-      & info [ "models" ] ~docv:"KIND"
-          ~doc:
-            "Cell models: oracle (golden-simulator backed, default) or \
-             synthetic (fast analytic stand-ins).")
-  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
@@ -1879,7 +1670,8 @@ let profile_cmd =
           thresholds, characterize, build, analyze, report)")
     Term.(
       const (fun () obs f p m mk -> finish_obs obs (run_profile f p m mk))
-      $ domains_setup $ obs_setup $ file $ pi $ mode $ models)
+      $ domains_setup $ obs_setup $ file_arg $ pi_arg
+      $ mode_arg ~baselines:false $ models_arg `Oracle)
 
 let storage_cmd =
   let fan_in = Arg.(value & opt int 3 & info [ "fan-in" ]) in
@@ -1967,311 +1759,6 @@ let convert_cmd =
           encodings, preserving any thresholds directive")
     Term.(const run_convert $ input $ output $ format_arg)
 
-(* ------------------------------------------------------------------ *)
-(* serve                                                               *)
-
-module Serve = Proxim_serve.Serve
-module Sjson = Proxim_lint.Json
-
-(* unix:PATH | tcp:HOST:PORT | bare PATH (a unix socket) *)
-let parse_addr s =
-  let prefixed p =
-    String.length s > String.length p
-    && String.sub s 0 (String.length p) = p
-  in
-  if prefixed "unix:" then
-    Ok (`Unix (String.sub s 5 (String.length s - 5)))
-  else if prefixed "tcp:" then begin
-    let rest = String.sub s 4 (String.length s - 4) in
-    match String.rindex_opt rest ':' with
-    | Some i -> (
-      let host = String.sub rest 0 i in
-      let port_s = String.sub rest (i + 1) (String.length rest - i - 1) in
-      match int_of_string_opt port_s with
-      | Some port when port >= 0 -> Ok (`Tcp (host, port))
-      | _ -> Error (Printf.sprintf "bad port in address %s" s))
-    | None -> Error (Printf.sprintf "bad address %s (tcp:HOST:PORT)" s)
-  end
-  else Ok (`Unix s)
-
-let addr_to_string = function
-  | `Unix path -> "unix:" ^ path
-  | `Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
-
-(* the daemon: bind, announce, serve until a protocol shutdown (or a
-   signal) stops it — a clean stop is exit 0 *)
-let run_serve_daemon addr =
-  match Serve.start addr with
-  | exception Unix.Unix_error (e, _, _) ->
-    Printf.eprintf "proxim serve: cannot listen on %s: %s\n"
-      (addr_to_string addr) (Unix.error_message e);
-    1
-  | srv ->
-    let announced =
-      match (addr, Serve.port srv) with
-      | `Tcp (host, _), Some p -> `Tcp (host, p)
-      | a, _ -> a
-    in
-    Printf.printf "proxim serve: listening on %s\n%!"
-      (addr_to_string announced);
-    List.iter
-      (fun s ->
-        try Sys.set_signal s (Sys.Signal_handle (fun _ -> Serve.stop srv))
-        with Invalid_argument _ | Sys_error _ -> ())
-      [ Sys.sigint; Sys.sigterm ];
-    Serve.wait srv;
-    Printf.printf "proxim serve: shut down cleanly\n%!";
-    0
-
-(* raw client: each --send payload goes out as one frame verbatim (so a
-   test can push deliberately broken JSON through the framing), and
-   each response prints as one line of JSON *)
-let run_serve_send addr payloads =
-  match Serve.connect addr with
-  | exception Unix.Unix_error (e, _, _) ->
-    Printf.eprintf "proxim serve: cannot connect to %s: %s\n"
-      (addr_to_string addr) (Unix.error_message e);
-    1
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        let rec go = function
-          | [] -> 0
-          | payload :: tl -> (
-            Proxim_serve.Frame.write fd payload;
-            match Proxim_serve.Frame.read fd with
-            | Ok response ->
-              print_endline response;
-              go tl
-            | Error e ->
-              Printf.eprintf "proxim serve: %s\n"
-                (Proxim_serve.Frame.read_error_to_string e);
-              1)
-        in
-        go payloads)
-
-let serve_fail m =
-  prerr_endline ("proxim serve: " ^ m);
-  1
-
-let serve_request fd req k =
-  match Serve.request fd req with
-  | Error m -> serve_fail m
-  | Ok resp ->
-    if Serve.ok resp then k resp
-    else
-      serve_fail
-        (match Sjson.member "error" resp with
-         | Some e ->
-           Printf.sprintf "%s: %s"
-             (Option.value (Serve.error_code resp) ~default:"error")
-             (Option.value
-                (Option.bind (Sjson.member "message" e)
-                   Sjson.to_string_value)
-                ~default:"")
-         | None -> "request failed")
-
-(* smoke client for CI: drive load -> attach -> eco -> report through a
-   live daemon and print the result in exactly the format `proxim sta`
-   uses, so the bytes can be diffed against offline analysis *)
-let run_serve_smoke addr file pi_specs pi_all_spec eco_specs mode paths_k =
-  match
-    ( parse_all parse_pi_spec [] pi_specs,
-      parse_all parse_eco_spec [] eco_specs,
-      Option.fold ~none:(Ok None)
-        ~some:(fun s -> Result.map Option.some (parse_pi_all_spec s))
-        pi_all_spec )
-  with
-  | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-    usage_error m
-  | Ok [], _, Ok None ->
-    usage_error "proxim serve: need at least one --pi event (or --pi-all)"
-  | Ok named_pi, Ok ecos, Ok pi_all -> (
-    match Serve.connect addr with
-    | exception Unix.Unix_error (e, _, _) ->
-      Printf.eprintf "proxim serve: cannot connect to %s: %s\n"
-        (addr_to_string addr) (Unix.error_message e);
-      1
-    | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let abs =
-            if Filename.is_relative file then
-              Filename.concat (Sys.getcwd ()) file
-            else file
-          in
-          serve_request fd
-            (Sjson.Obj
-               [ ("op", Sjson.String "load"); ("path", Sjson.String abs) ])
-            (fun load_resp ->
-              let dname =
-                Option.value
-                  (Option.bind (Sjson.member "design" load_resp)
-                     Sjson.to_string_value)
-                  ~default:""
-              in
-              let attach_fields =
-                [
-                  ("op", Sjson.String "attach");
-                  ("design", Sjson.String dname);
-                  ( "mode",
-                    Sjson.String
-                      (match mode with
-                       | Sta.Classic -> "classic"
-                       | _ -> "proximity") );
-                  ("models", Sjson.String "synthetic");
-                  ( "pi",
-                    Sjson.List
-                      (List.map
-                         (fun (net, a) ->
-                           Sjson.List
-                             [ Sjson.String net; Serve.arrival_to_json a ])
-                         named_pi) );
-                ]
-                @
-                match pi_all with
-                | None -> []
-                | Some a -> [ ("pi_all", Serve.arrival_to_json a) ]
-              in
-              serve_request fd (Sjson.Obj attach_fields) (fun _ ->
-                  let after_ecos k =
-                    if ecos = [] then k ()
-                    else
-                      serve_request fd
-                        (Sjson.Obj
-                           [
-                             ("op", Sjson.String "eco");
-                             ( "ecos",
-                               Sjson.List
-                                 (List.map
-                                    (function
-                                      | Sta.Touch_cell c ->
-                                        Sjson.Obj
-                                          [
-                                            ( "kind",
-                                              Sjson.String "touch_cell" );
-                                            ("cell", Sjson.String c);
-                                          ]
-                                      | Sta.Set_pi (net, a) ->
-                                        Sjson.Obj
-                                          [
-                                            ("kind", Sjson.String "set_pi");
-                                            ("net", Sjson.String net);
-                                            ( "arrival",
-                                              match a with
-                                              | None -> Sjson.Null
-                                              | Some a ->
-                                                Serve.arrival_to_json a );
-                                          ])
-                                    ecos) );
-                           ])
-                        (fun _ -> k ())
-                  in
-                  after_ecos (fun () ->
-                      serve_request fd
-                        (Sjson.Obj [ ("op", Sjson.String "report") ])
-                        (fun resp ->
-                          match
-                            match Sjson.member "report" resp with
-                            | None -> Error "response carries no report"
-                            | Some rj -> Serve.report_of_json rj
-                          with
-                          | Error m -> serve_fail m
-                          | Ok report ->
-                            (* byte-compatible with run_sta's output *)
-                            Printf.printf "arrivals:\n";
-                            List.iter
-                              (fun (net, (a : Sta.arrival)) ->
-                                Printf.printf
-                                  "  %-14s %8.1f ps  slew %7.1f ps  %s\n" net
-                                  (ps a.Sta.time) (ps a.Sta.slew)
-                                  (edge_name a.Sta.edge))
-                              report.Sta.arrivals;
-                            (match report.Sta.critical_po with
-                             | None ->
-                               Printf.printf "no primary output switches\n";
-                               ignore
-                                 (serve_request fd
-                                    (Sjson.Obj
-                                       [ ("op", Sjson.String "bye") ])
-                                    (fun _ -> 0)
-                                   : int);
-                               0
-                             | Some (po, a) ->
-                               Printf.printf "critical output: %s at %.1f ps\n"
-                                 po (ps a.Sta.time);
-                               serve_request fd
-                                 (Sjson.Obj
-                                    [
-                                      ("op", Sjson.String "paths");
-                                      ("po", Sjson.String po);
-                                      ( "k",
-                                        Sjson.Number (float_of_int paths_k)
-                                      );
-                                    ])
-                                 (fun presp ->
-                                   let paths =
-                                     Option.value
-                                       (Option.bind
-                                          (Sjson.member "paths" presp)
-                                          Sjson.to_list)
-                                       ~default:[]
-                                   in
-                                   List.iteri
-                                     (fun i p ->
-                                       let arrival =
-                                         Option.value
-                                           (Option.bind
-                                              (Sjson.member "arrival" p)
-                                              Sjson.to_number)
-                                           ~default:Float.nan
-                                       in
-                                       let nets =
-                                         Option.value
-                                           (Option.bind
-                                              (Sjson.member "nets" p)
-                                              Sjson.to_list)
-                                           ~default:[]
-                                       in
-                                       Printf.printf
-                                         "path #%d (%8.1f ps): %s\n" (i + 1)
-                                         (ps arrival)
-                                         (String.concat " <- "
-                                            (List.filter_map
-                                               Sjson.to_string_value nets)))
-                                     paths;
-                                   serve_request fd
-                                     (Sjson.Obj
-                                        [ ("op", Sjson.String "bye") ])
-                                     (fun _ -> 0)))))))))
-
-let run_serve listen_s connect_s payloads smoke_file pi_specs pi_all_spec
-    eco_specs mode paths_k =
-  let with_addr s k =
-    match parse_addr s with Error m -> usage_error m | Ok a -> k a
-  in
-  match (connect_s, smoke_file, payloads) with
-  | None, None, [] -> (
-    match listen_s with
-    | Some s -> with_addr s run_serve_daemon
-    | None ->
-      usage_error
-        "proxim serve: pass --listen ADDR to serve, or --connect ADDR with \
-         --send/--smoke to talk to a daemon")
-  | None, _, _ ->
-    usage_error "proxim serve: --send/--smoke need --connect ADDR"
-  | Some _, Some _, _ :: _ ->
-    usage_error "proxim serve: --send and --smoke are mutually exclusive"
-  | Some c, None, (_ :: _ as payloads) ->
-    with_addr c (fun a -> run_serve_send a payloads)
-  | Some c, Some file, [] ->
-    with_addr c (fun a ->
-        run_serve_smoke a file pi_specs pi_all_spec eco_specs mode paths_k)
-  | Some _, None, [] ->
-    usage_error "proxim serve: --connect needs --send or --smoke"
-
 let serve_cmd =
   let listen =
     Arg.(
@@ -2306,45 +1793,9 @@ let serve_cmd =
       & info [ "smoke" ] ~docv:"FILE"
           ~doc:
             "With --connect: drive load/attach/eco/report against the \
-             daemon for netlist $(docv) and print the post-ECO report in \
-             `proxim sta` format (for byte-comparison in CI).")
-  in
-  let pi =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi" ] ~docv:"EVENT"
-          ~doc:"Smoke-mode primary-input event net:edge:tau_ps:cross_ps.")
-  in
-  let pi_all =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "pi-all" ] ~docv:"EVENT"
-          ~doc:
-            "Smoke-mode event edge:tau_ps:cross_ps applied to every \
-             primary input not named by --pi.")
-  in
-  let eco =
-    Arg.(
-      value & opt_all string []
-      & info [ "eco" ] ~docv:"ECO"
-          ~doc:
-            "Smoke-mode edit: pi:NET:EDGE:TAU_PS:CROSS_PS, pi:NET:quiet or \
-             cell:NAME, streamed to the daemon before the report.")
-  in
-  let mode =
-    Arg.(
-      value
-      & opt
-          (enum [ ("classic", Sta.Classic); ("proximity", Sta.Proximity) ])
-          Sta.Proximity
-      & info [ "mode" ] ~docv:"MODE" ~doc:"Smoke-mode analysis mode.")
-  in
-  let paths =
-    Arg.(
-      value & opt int 1
-      & info [ "paths" ] ~docv:"K"
-          ~doc:"Smoke mode: enumerate the K worst paths.")
+             daemon for netlist $(docv) (text or binary) and print the \
+             post-ECO report in `proxim sta` format (for byte-comparison in \
+             CI); --pi, --pi-all, --eco, --mode and --paths shape the run.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -2354,8 +1805,8 @@ let serve_cmd =
     Term.(
       const (fun () l c sn sm p pa e m k ->
           run_serve l c sn sm p pa e m k)
-      $ domains_setup $ listen $ connect $ send $ smoke $ pi $ pi_all $ eco
-      $ mode $ paths)
+      $ domains_setup $ listen $ connect $ send $ smoke $ pi_arg $ pi_all_arg
+      $ eco_arg $ mode_arg ~baselines:false $ paths_arg)
 
 let () =
   let doc = "temporal-proximity gate delay modeling (DAC'96 reproduction)" in

@@ -319,9 +319,23 @@ let to_text s =
         pf "  %-36s count %d  sum %.6gs  min %.3gs  max %.3gs  mean %.3gs\n"
           name h.count h.sum h.min h.max
           (if h.count = 0 then 0. else h.sum /. float_of_int h.count);
-        if h.count > 0 then
-          (* the bar chart is over log10(seconds) bins *)
-          pf "%s" (Format.asprintf "    @[<v 4>%a@]\n" Uhist.pp h.hist))
+        (* the bar chart is over log10(seconds) bins; empty bins are
+           skipped *)
+        let u = h.hist in
+        let edges = Uhist.bin_edges u in
+        let peak = Array.fold_left max 1 u.Uhist.counts in
+        let row label c =
+          if c > 0 then
+            match String.make (c * 50 / peak) '#' with
+            | "" -> pf "    %s %4d\n" label c
+            | bar -> pf "    %s %4d %s\n" label c bar
+        in
+        row (Printf.sprintf "      < %8.3g :" u.Uhist.lo) u.Uhist.underflow;
+        Array.iteri
+          (fun i c ->
+            row (Printf.sprintf "[%8.3g, %8.3g):" edges.(i) edges.(i + 1)) c)
+          u.Uhist.counts;
+        row (Printf.sprintf "      >=%8.3g :" u.Uhist.hi) u.Uhist.overflow)
       s.histograms
   end;
   Buffer.contents buf

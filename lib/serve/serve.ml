@@ -1,14 +1,12 @@
-module Json = Proxim_lint.Json
+module Json = Proxim_util.Json
 module Metrics = Proxim_obs.Metrics
 module Pool = Proxim_util.Pool
 module Tech = Proxim_gates.Tech
-module Gate = Proxim_gates.Gate
 module Vtc = Proxim_vtc.Vtc
 module Measure = Proxim_measure.Measure
 module Design = Proxim_sta.Design
 module Sta = Proxim_sta.Sta
-module Netlist_text = Proxim_sta.Netlist_text
-module Netlist_bin = Proxim_sta.Netlist_bin
+module Netlist_file = Proxim_sta.Netlist_file
 module Synthgen = Proxim_sta.Synthgen
 module Graph = Proxim_timing.Graph
 module Timing = Proxim_timing.Timing
@@ -218,6 +216,17 @@ let stats_to_json (s : Timing.stats) =
       ("total_cells", Json.Number (float_of_int s.Timing.total_cells));
     ]
 
+let eco_to_json = function
+  | Sta.Touch_cell c ->
+    Json.Obj [ ("kind", Json.String "touch_cell"); ("cell", Json.String c) ]
+  | Sta.Set_pi (net, a) ->
+    Json.Obj
+      [
+        ("kind", Json.String "set_pi");
+        ("net", Json.String net);
+        ("arrival", Option.fold ~none:Json.Null ~some:arrival_to_json a);
+      ]
+
 (* --- the shared store ------------------------------------------------- *)
 
 type store = {
@@ -283,33 +292,6 @@ let oracle_factory store name design th =
 let engine_m = Mutex.create ()
 
 let with_engine f = with_lock engine_m f
-
-(* --- netlist loading -------------------------------------------------- *)
-
-let load_from_text text =
-  Result.map
-    (fun (name, design) ->
-      let raw = Netlist_text.parse_raw tech text in
-      (name, design, Option.map fst raw.Netlist_text.raw_thresholds))
-    (Netlist_text.parse tech text)
-
-let load_from_path path =
-  if Netlist_bin.file_is_binary path then Netlist_bin.read_file tech path
-  else
-    match In_channel.with_open_text path In_channel.input_all with
-    | exception Sys_error m -> Error m
-    | text -> load_from_text text
-
-let default_thresholds design file_th =
-  match file_th with
-  | Some th -> th
-  | None -> (
-    match Design.cells design with
-    | c :: _ -> Vtc.thresholds c.Design.gate
-    | [] -> (
-      match Gate.of_name tech "inv" with
-      | Ok g -> Vtc.thresholds g
-      | Error m -> failwith m))
 
 (* --- sessions --------------------------------------------------------- *)
 
@@ -403,9 +385,10 @@ let handle srv sess req =
       let loaded =
         match op with
         | "load" ->
-          load_from_path (require "load needs a \"path\"" (str_field "path" req))
+          Netlist_file.load tech
+            (require "load needs a \"path\"" (str_field "path" req))
         | _ ->
-          load_from_text
+          Netlist_file.of_text tech
             (require "load_text needs a \"text\"" (str_field "text" req))
       in
       (match loaded with
@@ -448,35 +431,27 @@ let handle srv sess req =
         | m -> failf (Bad_request (Printf.sprintf "unknown mode %S" m))
       in
       let seed = Option.value (int_field "seed" req) ~default:0 in
+      let thresholds = Netlist_file.thresholds tech design file_th in
       let factory =
         match Option.value (str_field "models" req) ~default:"synthetic" with
         | "synthetic" -> synth_factory srv.store seed
-        | "oracle" ->
-          let th = default_thresholds design file_th in
-          oracle_factory srv.store dname design th
+        | "oracle" -> oracle_factory srv.store dname design thresholds
         | m -> failf (Bad_request (Printf.sprintf "unknown models %S" m))
       in
       let named_pi =
         match field "pi" req with None -> [] | Some j -> pi_of_json j
       in
-      let pi =
+      let pi_all =
         match field "pi_all" req with
-        | None | Some Json.Null -> named_pi
-        | Some aj ->
-          let a =
-            match arrival_of_json aj with
-            | Some a -> a
-            | None -> failf (Bad_request "bad pi_all arrival")
-          in
-          named_pi
-          @ List.filter_map
-              (fun net ->
-                if List.mem_assoc net named_pi then None else Some (net, a))
-              (Design.primary_inputs design)
+        | None | Some Json.Null -> None
+        | Some aj -> (
+          match arrival_of_json aj with
+          | Some a -> Some a
+          | None -> failf (Bad_request "bad pi_all arrival"))
       in
+      let pi = Sta.with_pi_all design named_pi pi_all in
       if pi = [] then
         failf (Bad_request "attach needs at least one pi event (or pi_all)");
-      let thresholds = default_thresholds design file_th in
       let ir, stats =
         with_engine (fun () ->
             let ir =

@@ -54,7 +54,7 @@
     domain-local re-entrancy flag is never interleaved by sibling
     systhreads. *)
 
-module Json = Proxim_lint.Json
+module Json = Proxim_util.Json
 
 type listen =
   [ `Unix of string  (** Unix-domain socket at this path *)
@@ -118,3 +118,6 @@ val report_of_json : Json.t -> (Proxim_sta.Sta.report, string) result
     bit-identically (the emitter prints [%.17g]). *)
 
 val stats_to_json : Proxim_timing.Timing.stats -> Json.t
+
+val eco_to_json : Proxim_sta.Sta.eco -> Json.t
+(** One element of the [eco] op's ["ecos"] list. *)

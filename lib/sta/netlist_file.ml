@@ -1,0 +1,28 @@
+module Vtc = Proxim_vtc.Vtc
+
+type loaded = string * Design.t * Vtc.thresholds option
+
+let of_text tech text =
+  let raw = Netlist_text.parse_raw tech text in
+  Result.map
+    (fun (name, design) ->
+      (name, design, Option.map fst raw.Netlist_text.raw_thresholds))
+    (Netlist_text.of_raw raw)
+
+let load tech path =
+  if Netlist_bin.file_is_binary path then Netlist_bin.read_file tech path
+  else
+    match In_channel.with_open_text path In_channel.input_all with
+    | exception Sys_error m -> Error m
+    | text -> of_text tech text
+
+let thresholds tech design file_th =
+  match file_th with
+  | Some th -> th
+  | None -> (
+    match Design.cells design with
+    | c :: _ -> Vtc.thresholds c.Design.gate
+    | [] -> (
+      match Proxim_gates.Gate.of_name tech "inv" with
+      | Ok g -> Vtc.thresholds g
+      | Error m -> failwith m))

@@ -176,8 +176,7 @@ let design_cell c =
     output_net = c.output;
   }
 
-let parse tech text =
-  let raw = parse_raw tech text in
+let of_raw raw =
   let errors =
     List.sort
       (fun a b -> compare (a.err_line, a.err_col) (b.err_line, b.err_col))
@@ -204,15 +203,9 @@ let parse tech text =
               ~primary_outputs:(List.map fst raw.raw_outputs) )
       with Invalid_argument m -> Error m))
 
-let parse_file tech path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      parse tech (really_input_string ic n))
+let parse tech text = of_raw (parse_raw tech text)
 
-let to_string ~name design =
+let to_string ?thresholds ~name design =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "design %s\n" name);
   (match Design.primary_inputs design with
@@ -229,5 +222,11 @@ let to_string ~name design =
            (String.concat " " (Array.to_list c.Design.input_nets))
            c.Design.output_net))
     (Design.cells design);
+  Option.iter
+    (fun (t : Vtc.thresholds) ->
+      Buffer.add_string buf
+        (Printf.sprintf "thresholds %.17g %.17g %.17g\n" t.Vtc.vil t.Vtc.vih
+           t.Vtc.vdd))
+    thresholds;
   Buffer.add_string buf "end\n";
   Buffer.contents buf

@@ -70,9 +70,13 @@ val parse :
     once, newline-joined; structural errors from {!Design.create} keep
     that function's single-message form. *)
 
-val parse_file :
-  Proxim_gates.Tech.t -> string -> (string * Design.t, string) result
+val of_raw : raw -> (string * Design.t, string) result
+(** [parse] after the scan: validate a {!parse_raw} result, so a caller
+    that also wants [raw_thresholds] scans the text once. *)
 
-val to_string : name:string -> Design.t -> string
+val to_string :
+  ?thresholds:Proxim_vtc.Vtc.thresholds -> name:string -> Design.t -> string
 (** Render a design back to the format; [parse] of the result round-trips
-    (up to comments, whitespace and a [thresholds] directive). *)
+    (up to comments and whitespace).  [thresholds], when given, is written
+    as a [thresholds] directive ([%.17g], so it round-trips exactly) just
+    before [end]. *)

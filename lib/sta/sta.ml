@@ -391,7 +391,23 @@ let report_with ir ~heads =
   in
   { arrivals; critical_po; predecessors }
 
+let with_pi_all design named = function
+  | None -> named
+  | Some a ->
+    named
+    @ List.filter_map
+        (fun net -> if List.mem_assoc net named then None else Some (net, a))
+        (Design.primary_inputs design)
+
 let report ir = report_with ir ~heads:(source_arrivals ir)
+
+let report_equal (r1 : report) (r2 : report) =
+  let named_eq (n1, a1) (n2, a2) =
+    String.equal n1 n2 && Timing.arrival_eq a1 a2
+  in
+  List.equal named_eq r1.arrivals r2.arrivals
+  && Option.equal named_eq r1.critical_po r2.critical_po
+  && r1.predecessors = r2.predecessors
 
 let analyze ?(mode = Proximity) ?prune ?pool ~models ~thresholds design ~pi =
   let ir = build_ir ~mode ?prune ~models ~thresholds design ~pi in
@@ -505,12 +521,3 @@ let synthetic_factory ?seed ?spread ?work ?memo () =
     ~key_of:(fun (cell : Design.cell) -> cell.Design.gate.Gate.name)
     ~build:(fun (cell : Design.cell) ->
       Models.synthetic ?seed ?spread ?work ?memo cell.Design.gate)
-
-let oracle_model_factory ?opts ?wire_cap design th =
-  (oracle_factory ?opts ?wire_cap design th).models
-
-let table_model_factory ?opts ?wire_cap ?taus ?x_tau ?x_sep ?share_others
-    ?pool design th =
-  (table_factory ?opts ?wire_cap ?taus ?x_tau ?x_sep ?share_others ?pool
-     design th)
-    .models

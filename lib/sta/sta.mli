@@ -123,6 +123,16 @@ type ir
 (** An analysis state: the design's timing graph annotated with arrivals
     and per-cell verdicts, plus the propagation engine for one {!mode}. *)
 
+val with_pi_all :
+  Design.t ->
+  (string * arrival) list ->
+  arrival option ->
+  (string * arrival) list
+(** [with_pi_all design named default]: the [named] primary-input events,
+    then [default] on every other primary input in declaration order —
+    the [--pi-all] stimulus of [proxim sta] and the [pi_all] field of the
+    serve [attach] op. *)
+
 val build_ir :
   ?mode:mode ->
   ?prune:Prune.t ->
@@ -199,6 +209,11 @@ val report : ir -> report
     with the switching primary inputs in declaration order, then every
     switching cell output in topological order. *)
 
+val report_equal : report -> report -> bool
+(** Bit-exact equality ({!Proxim_timing.Timing.arrival_eq} on every
+    arrival), the relation behind the [update] vs [reanalyze] contract
+    that [proxim sta --verify-eco] and the benches check. *)
+
 (** {1 K-worst paths} *)
 
 type path = {
@@ -265,28 +280,3 @@ val synthetic_factory :
     {!Proxim_macromodel.Models.synthetic}; pass [~memo:false] on
     million-cell designs so the unbounded query cache does not dominate
     peak RSS. *)
-
-val oracle_model_factory :
-  ?opts:Proxim_spice.Options.t ->
-  ?wire_cap:float ->
-  Design.t ->
-  Proxim_vtc.Vtc.thresholds ->
-  Design.cell ->
-  Proxim_macromodel.Models.t
-(** [(oracle_factory ...).models] — kept for callers that do not need the
-    statistics. *)
-
-val table_model_factory :
-  ?opts:Proxim_spice.Options.t ->
-  ?wire_cap:float ->
-  ?taus:float array ->
-  ?x_tau:float array ->
-  ?x_sep:float array ->
-  ?share_others:bool ->
-  ?pool:Proxim_util.Pool.t ->
-  Design.t ->
-  Proxim_vtc.Vtc.thresholds ->
-  Design.cell ->
-  Proxim_macromodel.Models.t
-(** [(table_factory ...).models] — kept for callers that do not need the
-    statistics. *)

@@ -36,22 +36,33 @@ let with_netlist f =
           Out_channel.output_string oc netlist);
       f (Filename.quote file))
 
+(* run a command line, returning (exit code, stdout, trimmed stderr) *)
+let run fmt =
+  Printf.ksprintf
+    (fun args ->
+      let out = Filename.temp_file "proxim_cli" ".out" in
+      let err = Filename.temp_file "proxim_cli" ".err" in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (fun f -> try Sys.remove f with Sys_error _ -> ())
+            [ out; err ])
+        (fun () ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s >%s 2>%s" args (Filename.quote out)
+                 (Filename.quote err))
+          in
+          let read f = In_channel.with_open_text f In_channel.input_all in
+          (code, read out, String.trim (read err))))
+    fmt
+
 (* run a command line, returning (exit code, stderr) *)
 let run_err fmt =
   Printf.ksprintf
     (fun args ->
-      let err = Filename.temp_file "proxim_cli" ".err" in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
-        (fun () ->
-          let code =
-            Sys.command
-              (Printf.sprintf "%s >/dev/null 2>%s" args (Filename.quote err))
-          in
-          let text =
-            String.trim (In_channel.with_open_text err In_channel.input_all)
-          in
-          (code, text)))
+      let code, _, err = run "%s" args in
+      (code, err))
     fmt
 
 (* every subcommand × way of smuggling in the same broken event spec *)
@@ -148,6 +159,39 @@ let test_valid_events_accepted () =
       in
       Alcotest.(check int) "pi-all + eco accepted" 0 code)
 
+(* every subcommand that reads a netlist takes either encoding: profile
+   runs on a PXNB file made by convert, and the analyses print the same
+   bytes for both encodings of one design *)
+let test_binary_netlists () =
+  let ntl =
+    Option.value ~default:"examples/carry_tree.ntl"
+      (List.find_opt Sys.file_exists [ "../examples/carry_tree.ntl" ])
+  in
+  let pxb = Filename.temp_file "proxim_cli" ".pxb" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove pxb with Sys_error _ -> ())
+    (fun () ->
+      let pxb = Filename.quote pxb in
+      let code, _, err = run "%s convert %s %s" cli ntl pxb in
+      Alcotest.(check (pair int string)) "convert to pxb" (0, "") (code, err);
+      let code, out, err =
+        run "%s profile %s --models synthetic --pi a:fall:300:0" cli pxb
+      in
+      Alcotest.(check (pair int string)) "profile on pxb" (0, "") (code, err);
+      Alcotest.(check bool) "profile prints the phase table" true
+        (List.exists
+           (String.starts_with ~prefix:"phase coverage:")
+           (String.split_on_char '\n' out));
+      let pi = "--pi a:fall:500:0 --pi b:fall:450:400 --pi c:fall:300:900" in
+      List.iter
+        (fun sub ->
+          let code_t, out_t, _ = run "%s %s %s %s" cli sub ntl pi in
+          let code_b, out_b, _ = run "%s %s %s %s" cli sub pxb pi in
+          Alcotest.(check int) (sub ^ ": same exit code") code_t code_b;
+          Alcotest.(check string) (sub ^ ": same stdout") out_t out_b)
+        [ "verify"; "hazards"; "sense"; "verify --format json";
+          "hazards --format json"; "sense --format json" ])
+
 let () =
   Alcotest.run "cli"
     [
@@ -166,5 +210,7 @@ let () =
         [
           Alcotest.test_case "valid events accepted" `Quick
             test_valid_events_accepted;
+          Alcotest.test_case "text and binary netlists" `Quick
+            test_binary_netlists;
         ] );
     ]

@@ -4,6 +4,8 @@ module Tech = Proxim_gates.Tech
 module Gate = Proxim_gates.Gate
 module Design = Proxim_sta.Design
 module Netlist_text = Proxim_sta.Netlist_text
+module Netlist_file = Proxim_sta.Netlist_file
+module Vtc = Proxim_vtc.Vtc
 
 let tech = Tech.generic_5v
 
@@ -129,6 +131,33 @@ let test_comments_and_whitespace () =
     Alcotest.(check string) "name" "d" name;
     Alcotest.(check int) "one cell" 1 (List.length (Design.cells design))
 
+(* a thresholds directive written by to_string comes back bit-exact from
+   of_text; the threshold policy prefers the file's set, then the first
+   cell's gate, then the inverter *)
+let test_thresholds () =
+  match Netlist_text.parse tech sample with
+  | Error m -> Alcotest.fail m
+  | Ok (name, design) ->
+    let th = { Vtc.vil = 0.1 +. 1.2; vih = 3.7 /. 0.9; vdd = 5. } in
+    (match
+       Netlist_file.of_text tech
+         (Netlist_text.to_string ~thresholds:th ~name design)
+     with
+     | Ok (_, _, Some th') ->
+       Alcotest.(check bool) "directive round-trips bit-exact" true (th' = th)
+     | Ok (_, _, None) -> Alcotest.fail "directive lost"
+     | Error m -> Alcotest.fail m);
+    let policy d file_th = Netlist_file.thresholds tech d file_th in
+    Alcotest.(check bool) "file's set wins" true (policy design (Some th) = th);
+    Alcotest.(check bool) "else the first cell's gate" true
+      (policy design None
+      = Vtc.thresholds (List.hd (Design.cells design)).Design.gate);
+    let empty =
+      Design.create ~cells:[] ~primary_inputs:[ "a" ] ~primary_outputs:[]
+    in
+    Alcotest.(check bool) "else the inverter" true
+      (policy empty None = Vtc.thresholds (Gate.inverter tech))
+
 let () =
   Alcotest.run "netlist_text"
     [
@@ -141,5 +170,6 @@ let () =
           Alcotest.test_case "column numbers" `Quick test_column_numbers;
           Alcotest.test_case "crlf" `Quick test_crlf;
           Alcotest.test_case "comments" `Quick test_comments_and_whitespace;
+          Alcotest.test_case "thresholds" `Quick test_thresholds;
         ] );
     ]

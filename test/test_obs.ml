@@ -8,7 +8,7 @@ module Trace = Proxim_obs.Trace
 module Pool = Proxim_util.Pool
 module Memo_cache = Proxim_util.Memo_cache
 module Interp = Proxim_util.Interp
-module Json = Proxim_lint.Json
+module Json = Proxim_util.Json
 module Sta = Proxim_sta.Sta
 module Design = Proxim_sta.Design
 module Netlist_text = Proxim_sta.Netlist_text
@@ -89,6 +89,43 @@ let test_metrics_json_parses () =
       (Option.bind
          (Json.member "needs \"escaping\"\n" counters)
          Json.to_number)
+
+(* the text reporter's bar chart: every bucket row sits under its
+   histogram, indented 4, and only buckets that hold samples are shown *)
+let test_metrics_text_histogram_rows () =
+  let registry = Metrics.create () in
+  let h = Metrics.Histogram.v ~registry "lat" in
+  List.iter (Metrics.Histogram.observe h) [ 1e-3; 1e-3; 2e-5; 5e-2 ];
+  let text = Metrics.to_text (Metrics.snapshot ~registry ()) in
+  let rows =
+    match String.split_on_char '\n' text with
+    | _ :: _ as lines ->
+      let rec after = function
+        | [] -> []
+        | l :: tl ->
+          if String.starts_with ~prefix:"  lat " l then tl else after tl
+      in
+      List.filter (fun l -> l <> "") (after lines)
+    | [] -> []
+  in
+  Alcotest.(check int) "one row per non-empty bucket" 3 (List.length rows);
+  List.iter
+    (fun row ->
+      Alcotest.(check bool)
+        (Printf.sprintf "indented: %S" row)
+        true
+        (String.starts_with ~prefix:"    " row);
+      let count =
+        match String.rindex_opt row ':' with
+        | Some i ->
+          String.sub row (i + 1) (String.length row - i - 1)
+          |> String.trim |> String.split_on_char ' ' |> List.hd
+          |> int_of_string
+        | None -> 0
+      in
+      Alcotest.(check bool) (Printf.sprintf "non-empty: %S" row) true
+        (count > 0))
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Tracing                                                             *)
@@ -389,6 +426,8 @@ let () =
             test_histogram_merge_across_domains;
           Alcotest.test_case "json reporter parses" `Quick
             test_metrics_json_parses;
+          Alcotest.test_case "text reporter histogram rows" `Quick
+            test_metrics_text_histogram_rows;
         ] );
       ( "trace",
         [

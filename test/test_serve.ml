@@ -8,10 +8,10 @@ module Tech = Proxim_gates.Tech
 module Measure = Proxim_measure.Measure
 module Design = Proxim_sta.Design
 module Sta = Proxim_sta.Sta
-module Netlist_text = Proxim_sta.Netlist_text
+module Netlist_file = Proxim_sta.Netlist_file
 module Serve = Proxim_serve.Serve
 module Frame = Proxim_serve.Frame
-module Json = Proxim_lint.Json
+module Json = Proxim_util.Json
 
 let tech = Tech.generic_5v
 
@@ -55,16 +55,11 @@ let ecos = [ Sta.Set_pi ("a", Some eco_arrival) ]
    engine entry points the server calls *)
 let offline_report =
   lazy
-    (let design =
-       match Netlist_text.parse tech netlist_text with
-       | Ok (_, d) -> d
+    (let design, thresholds =
+       match Netlist_file.of_text tech netlist_text with
+       | Ok (_, d, Some th) -> (d, th)
+       | Ok (_, _, None) -> Alcotest.fail "netlist has no thresholds line"
        | Error m -> Alcotest.failf "offline parse: %s" m
-     in
-     let raw = Netlist_text.parse_raw tech netlist_text in
-     let thresholds =
-       match raw.Netlist_text.raw_thresholds with
-       | Some (th, _) -> th
-       | None -> Alcotest.fail "netlist has no thresholds line"
      in
      let factory = Sta.synthetic_factory ~seed:0 () in
      let ir =
