@@ -992,10 +992,7 @@ let incremental_design rng pool th ~tech ~depth ~width ~trials =
 (* ------------------------------------------------------------------ *)
 (* Scaling curve: generated designs at 10^4 .. 10^6 cells, one full
    analyze and one single-edit update each, with the peak-RSS
-   high-water mark reset per row so the footprint is attributable.
-   Synthetic models run memo-free: their query keys are continuous
-   floats that essentially never repeat across a large design, so the
-   unbounded cache would otherwise dominate the measurement.           *)
+   high-water mark reset per row so the footprint is attributable.    *)
 
 type scale_row = {
   sc_cells : int;
@@ -1017,7 +1014,7 @@ let scaling_row pool th ~tech ~cells =
   let t0 = Unix.gettimeofday () in
   let _name, design = Synthgen.generate ~seed:1 ~tech ~cells () in
   let gen_ms = 1e3 *. (Unix.gettimeofday () -. t0) in
-  let factory = Sta.synthetic_factory ~memo:false () in
+  let factory = Sta.synthetic_factory () in
   let pi =
     List.map
       (fun net ->

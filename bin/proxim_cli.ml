@@ -378,7 +378,6 @@ let run_lint files format fail_on fanout_limit codes =
 (* sta                                                                 *)
 
 module Sta = Proxim_sta.Sta
-module Prune = Proxim_sta.Prune
 module Design = Proxim_sta.Design
 module Netlist_text = Proxim_sta.Netlist_text
 module Netlist_bin = Proxim_sta.Netlist_bin
@@ -461,10 +460,16 @@ let with_stimulus ~cmd pi_specs pi_all_spec eco_specs k =
          cmd)
   | Ok named_pi, Ok ecos, Ok pi_all -> k named_pi pi_all ecos
 
+(* One phase taxonomy for `proxim sta` and `proxim profile`: parse ->
+   thresholds -> (characterize, profile only) -> build_ir -> analyze ->
+   report, each a span of category "phase" so a trace attributes the
+   wall time of either command to the same named stages. *)
+let phase name f = Obs_trace.with_span ~cat:"phase" name f
+
 (* the netlist argument of every analysis subcommand, in either encoding;
    an unreadable or malformed file is exit 1 *)
 let with_design file k =
-  match Netlist_file.load Tech.generic_5v file with
+  match phase "parse" (fun () -> Netlist_file.load Tech.generic_5v file) with
   | Error m ->
     prerr_endline m;
     1
@@ -480,92 +485,6 @@ let apply_eco_to_pi pi = function
   | Sta.Set_pi (net, a) -> (
     let rest = List.remove_assoc net pi in
     match a with None -> rest | Some a -> rest @ [ (net, a) ])
-
-module Verify = Proxim_verify.Verify
-module Interval = Proxim_verify.Interval
-module Sense = Proxim_sense.Sense
-
-(* The prune mask must stay sound for the initial analysis AND every
-   post-ECO re-analysis, so verify over interval events hulling both
-   configurations.  Any structural change to the event set (a PI
-   silenced, added, or edge-flipped) falls back to no pruning. *)
-let sta_prune_mask ?(sense = false) ~models ~thresholds design ~pi ~ecos () =
-  let pi' = List.fold_left apply_eco_to_pi pi ecos in
-  let nets l = List.sort compare (List.map fst l) in
-  let compatible =
-    nets pi = nets pi'
-    && List.for_all
-         (fun (n, (a : Sta.arrival)) ->
-           match List.assoc_opt n pi' with
-           | Some (a' : Sta.arrival) -> a.Sta.edge = a'.Sta.edge
-           | None -> false)
-         pi
-  in
-  if not compatible then None
-  else begin
-    let events =
-      List.map
-        (fun (n, (a : Sta.arrival)) ->
-          let a' = Option.value (List.assoc_opt n pi') ~default:a in
-          {
-            Verify.ev_net = n;
-            ev_edge = a.Sta.edge;
-            ev_time =
-              Interval.make
-                (Float.min a.Sta.time a'.Sta.time)
-                (Float.max a.Sta.time a'.Sta.time);
-            ev_tau =
-              Interval.make
-                (Float.min a.Sta.slew a'.Sta.slew)
-                (Float.max a.Sta.slew a'.Sta.slew);
-          })
-        pi
-    in
-    let v =
-      Verify.analyze ~mode:Sta.Proximity ~models ~thresholds design ~pi:events
-    in
-    let s = Verify.summary v in
-    Printf.printf
-      "static verification: %d of %d switching cells never-proximate\n"
-      s.Verify.never s.Verify.switching_cells;
-    (* the hazard analysis proves quiet for a complementary set of cells
-       (at most one window-bearing input, or a dominated same-edge
-       group); both masks are sound for the fast path, so take the
-       union *)
-    let h =
-      Proxim_hazard.Hazard.analyze ~mode:Sta.Proximity ~models ~thresholds
-        design ~pi:events
-    in
-    let hs = Proxim_hazard.Hazard.summary h in
-    Printf.printf "hazard analysis: %d of %d classified cells proven quiet\n"
-      (List.length
-         (List.filter
-            (fun c -> c.Proxim_hazard.Hazard.hc_quiet)
-            (Proxim_hazard.Hazard.cells h)))
-      hs.Proxim_hazard.Hazard.classified;
-    let vm = Verify.prune_mask v and hm = Proxim_hazard.Hazard.quiet_mask h in
-    (* the sensitization mask covers cells where at most one event can
-       structurally arrive; its activity depends only on which nets
-       switch, so the edge-compatibility check above keeps it sound
-       across the ECOs too *)
-    let sm =
-      if not sense then None
-      else begin
-        let stim =
-          List.map
-            (fun (n, (a : Sta.arrival)) -> (n, Sense.Switch a.Sta.edge))
-            pi
-        in
-        let s = Sense.analyze design ~pi:stim in
-        let ss = Sense.summary s in
-        Printf.printf
-          "sensitization: %d of %d cells structurally quiet\n"
-          ss.Sense.prunable_cells ss.Sense.total_cells;
-        Some (Sense.prune_mask s)
-      end
-    in
-    Some (Prune.make ?unsensitizable:sm ~quiet:hm ~never_proximate:vm ())
-  end
 
 (* The arrivals / critical output / K-worst paths block.  `proxim sta`
    and `proxim serve --smoke` both print it, and CI diffs one against the
@@ -594,7 +513,7 @@ let print_timing ~summary (report : Sta.report) ~paths =
       (paths po)
 
 let run_sta file pi_specs pi_all_spec mode models_kind paths_k required_ps
-    eco_specs verify_eco no_prune sense summary =
+    eco_specs verify_eco summary =
   with_design file @@ fun name design file_th ->
   with_stimulus ~cmd:"sta" pi_specs pi_all_spec eco_specs
   @@ fun named_pi pi_all ecos ->
@@ -605,27 +524,26 @@ let run_sta file pi_specs pi_all_spec mode models_kind paths_k required_ps
        escaping as a raw exception with a backtrace. *)
     try
       let pi = Sta.with_pi_all design named_pi pi_all in
-      let th = Netlist_file.thresholds Tech.generic_5v design file_th in
+      let th =
+        phase "thresholds" (fun () ->
+            Netlist_file.thresholds Tech.generic_5v design file_th)
+      in
       let factory = factory_of models_kind design th in
       let g = Design.graph design in
       Printf.printf "design %s: %d cells, %d nets, %d levels\n" name
         (Graph.cell_count g) (Graph.net_count g) (Graph.level_count g);
-      let prune =
-        if no_prune || mode <> Sta.Proximity then None
-        else
-          sta_prune_mask ~sense ~models:factory.Sta.models ~thresholds:th
-            design ~pi ~ecos ()
-      in
       let analyze pi =
         let ir =
-          Sta.build_ir ~mode ?prune ~models:factory.Sta.models ~thresholds:th
-            design ~pi
+          phase "build_ir" (fun () ->
+              Sta.build_ir ~mode ~models:factory.Sta.models ~thresholds:th
+                design ~pi)
         in
-        ignore (Sta.reanalyze ir : Timing.stats);
+        ignore (phase "analyze" (fun () -> Sta.reanalyze ir) : Timing.stats);
         ir
       in
       let ir = analyze pi in
       let show_results () =
+        phase "report" @@ fun () ->
         let report = Sta.report ir in
         print_timing ~summary report ~paths:(fun po ->
             Sta.worst_paths ir ~po ~k:paths_k);
@@ -657,15 +575,6 @@ let run_sta file pi_specs pi_all_spec mode models_kind paths_k required_ps
           end
         end
       in
-      Option.iter
-        (fun p ->
-          let c = Prune.counts p in
-          Printf.printf
-            "proximity pruning: %d cell evaluations took the fast path (%d \
-             unsensitizable, %d quiet, %d never-proximate)\n"
-            (Sta.pruned_evaluations ir)
-            c.Prune.unsensitizable c.Prune.quiet c.Prune.never_proximate)
-        prune;
       let cs = factory.Sta.factory_stats () in
       Printf.printf "model cache: %d hits, %d misses, %d waits, %d entries\n"
         cs.Memo_cache.hits cs.Memo_cache.misses cs.Memo_cache.waits
@@ -726,24 +635,18 @@ let run_convert input output fmt =
    analyze (the section-4 fold) -> report.  Prints the per-phase
    time/alloc breakdown from the trace aggregation. *)
 let run_profile file pi_specs mode models_kind =
-  let tech = Tech.generic_5v in
   Obs_metrics.install_util_sources ();
   Obs_trace.clear ();
   Obs_trace.enable ();
   let wall0 = Unix.gettimeofday () in
-  let phase name f = Obs_trace.with_span ~cat:"phase" name f in
-  match phase "parse" (fun () -> Netlist_file.load tech file) with
-  | Error m ->
-    prerr_endline m;
-    1
-  | Ok (name, design, file_th) -> (
+  with_design file @@ fun name design file_th ->
     match parse_all parse_pi_spec [] pi_specs with
     | Error (`Msg m) -> usage_error m
     | Ok [] -> usage_error "proxim profile: need at least one --pi event"
     | Ok pi ->
       let th =
         phase "thresholds" (fun () ->
-            Netlist_file.thresholds tech design file_th)
+            Netlist_file.thresholds Tech.generic_5v design file_th)
       in
       let factory = factory_of models_kind design th in
       phase "characterize" (fun () ->
@@ -808,10 +711,13 @@ let run_profile file pi_specs mode models_kind =
                 (mb a.Obs_trace.alloc_bytes))
           hot
       end;
-      0)
+      0
 
 (* ------------------------------------------------------------------ *)
 (* verify / hazards                                                    *)
+
+module Verify = Proxim_verify.Verify
+module Sense = Proxim_sense.Sense
 
 (* --pi-window: a bare PS value sets the global arrival-time window,
    NET=PS overrides it for one net *)
@@ -1523,23 +1429,16 @@ let sta_cmd =
             "After the incremental update, rerun a full analysis of the \
              edited design and fail unless the two agree bit-for-bit.")
   in
-  let no_prune =
+  (* accepted as no-ops so existing scripts keep working: `sta` no
+     longer builds prune masks, whose cost exceeded the evaluations they
+     saved and which never changed a printed timing byte *)
+  let no_op_flag name =
     Arg.(
       value & flag
-      & info [ "no-prune" ]
-          ~doc:
-            "Disable the static never-proximate pruning that proximity-mode \
-             analyses apply by default (the pruned analysis is bit-identical \
-             by construction; this flag exists to measure it).")
-  in
-  let sense =
-    Arg.(
-      value & flag
-      & info [ "sense" ]
-          ~doc:
-            "Add the static-sensitization mask (cells where at most one \
-             event can structurally arrive) to the fused prune engine \
-             alongside the never-proximate and quiet masks.")
+      & info [ name ]
+          ~deprecated:
+            "deprecated and ignored, proxim sta no longer builds prune masks"
+          ~doc:"Deprecated; has no effect.")
   in
   let summary =
     Arg.(
@@ -1555,11 +1454,12 @@ let sta_cmd =
          "Static timing analysis of a netlist (text or binary): arrivals, \
           K-worst paths, slacks, incremental (ECO) re-analysis")
     Term.(
-      const (fun () obs f p pa m k pk r e v np sn s ->
-          finish_obs obs (run_sta f p pa m k pk r e v np sn s))
+      const (fun () obs f p pa m k pk r e v (_ : bool) (_ : bool) s ->
+          finish_obs obs (run_sta f p pa m k pk r e v s))
       $ domains_setup $ obs_setup $ file_arg $ pi_arg $ pi_all_arg
       $ mode_arg ~baselines:true $ models_arg `Oracle $ paths_arg $ required
-      $ eco_arg $ verify_eco $ no_prune $ sense $ summary)
+      $ eco_arg $ verify_eco $ no_op_flag "no-prune" $ no_op_flag "sense"
+      $ summary)
 
 let verify_cmd =
   let sense =

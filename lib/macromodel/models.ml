@@ -38,7 +38,7 @@ let merge_stats (a : Memo_cache.stats) (b : Memo_cache.stats) =
     local_hits = a.Memo_cache.local_hits + b.Memo_cache.local_hits;
   }
 
-let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) ?(memo = true) gate =
+let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) ?(memo = false) gate =
   let cache = Memo_cache.create ~shards:4 ~local:true () in
   let jitter key =
     (* deterministic per-(gate, seed, key) value in [0, 1) *)
@@ -58,9 +58,8 @@ let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) ?(memo = true) gate =
     end
   in
   let q key compute =
-    (* the cache is unbounded and synthetic query keys carry continuous
-       floats that rarely repeat across a large design, so million-cell
-       runs opt out rather than hold every response forever *)
+    (* off by default: a query is cheaper than hashing its float key,
+       and the unbounded cache keeps every distinct one *)
     if memo then Memo_cache.find_or_compute cache key compute else compute ()
   in
   let assist_of ~edge ~pins =

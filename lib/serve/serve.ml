@@ -233,8 +233,9 @@ type store = {
   store_m : Mutex.t;
   designs : (string, Design.t * Vtc.thresholds option) Hashtbl.t;
   synth_factories : (int, Sta.factory) Hashtbl.t;
-      (** one shared synthetic factory per seed: its memo cache is
-          domain-safe, so sessions share characterized models *)
+      (** one shared synthetic factory per seed: sessions share its
+          per-gate models, which memoize no queries, so the factory
+          stays the same size however long an ECO stream runs *)
   oracle_factories : (string, Sta.factory) Hashtbl.t  (** per design *)
 }
 

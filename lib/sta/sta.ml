@@ -442,11 +442,22 @@ let worst_paths ir ~po ~k =
          })
 
 let po_slacks design report ~required =
-  Design.primary_outputs design
+  (* one pass over the arrivals, binding each output to its first entry
+     as List.assoc_opt would *)
+  let pos = Design.primary_outputs design in
+  let found = Hashtbl.create (List.length pos) in
+  List.iter (fun net -> Hashtbl.replace found net None) pos;
+  List.iter
+    (fun (net, a) ->
+      match Hashtbl.find_opt found net with
+      | Some None -> Hashtbl.replace found net (Some a)
+      | _ -> ())
+    report.arrivals;
+  pos
   |> List.filter_map (fun net ->
        Option.map
          (fun (a : arrival) -> (net, required -. a.time))
-         (List.assoc_opt net report.arrivals))
+         (Hashtbl.find found net))
   |> List.sort (fun (_, a) (_, b) -> compare a b)
 
 (* ---- model factories ---- *)
@@ -515,9 +526,9 @@ let table_factory ?opts ?wire_cap ?taus ?x_tau ?x_sep ?share_others ?pool
       let gate = { cell.Design.gate with Gate.load } in
       Models.of_tables ?opts ?taus ?x_tau ?x_sep ?share_others ?pool gate th)
 
-let synthetic_factory ?seed ?spread ?work ?memo () =
+let synthetic_factory ?seed ?spread ?work () =
   let cache = Memo_cache.create ~shards:4 ~local:true () in
   factory_of ~cache
     ~key_of:(fun (cell : Design.cell) -> cell.Design.gate.Gate.name)
     ~build:(fun (cell : Design.cell) ->
-      Models.synthetic ?seed ?spread ?work ?memo cell.Design.gate)
+      Models.synthetic ?seed ?spread ?work cell.Design.gate)

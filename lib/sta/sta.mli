@@ -271,12 +271,13 @@ val table_factory :
     builders. *)
 
 val synthetic_factory :
-  ?seed:int -> ?spread:float -> ?work:int -> ?memo:bool -> unit -> factory
+  ?seed:int -> ?spread:float -> ?work:int -> unit -> factory
 (** A [models] function over {!Proxim_macromodel.Models.synthetic}
     analytic models, one per gate type (synthetic models carry no load
     dependence).  No simulator behind it: this is the factory the
     randomized equivalence tests, the incremental benchmark and quick
     CLI experiments use.  The options are forwarded to
-    {!Proxim_macromodel.Models.synthetic}; pass [~memo:false] on
-    million-cell designs so the unbounded query cache does not dominate
-    peak RSS. *)
+    {!Proxim_macromodel.Models.synthetic}, whose queries are not
+    memoized: only the per-gate model cache counts in [factory_stats],
+    so memory stays proportional to the number of gate types however
+    many evaluations run. *)

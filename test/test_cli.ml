@@ -159,14 +159,57 @@ let test_valid_events_accepted () =
       in
       Alcotest.(check int) "pi-all + eco accepted" 0 code)
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let carry_tree =
+  Option.value ~default:"examples/carry_tree.ntl"
+    (List.find_opt Sys.file_exists [ "../examples/carry_tree.ntl" ])
+
+(* `sta` runs no prune-mask prepass: the default prints exactly what the
+   deprecated --no-prune and --sense print, with no verification,
+   hazard or pruning narration, and those flags only add a notice on
+   stderr *)
+let test_sta_default_runs_no_masks () =
+  let sta =
+    Printf.sprintf
+      "%s sta %s --models synthetic --pi a:fall:500:0 --pi b:fall:450:400 \
+       --pi c:fall:300:900 --paths 2 --required 2000 --eco pi:a:fall:400:50 \
+       --verify-eco"
+      cli carry_tree
+  in
+  let code, out, err = run "%s" sta in
+  Alcotest.(check (pair int string)) "default sta" (0, "") (code, err);
+  List.iter
+    (fun narration ->
+      Alcotest.(check bool)
+        (Printf.sprintf "no %S line" narration)
+        false
+        (List.exists
+           (String.starts_with ~prefix:narration)
+           (String.split_on_char '\n' out)))
+    [ "static verification"; "hazard analysis"; "proximity pruning";
+      "sensitization" ];
+  List.iter
+    (fun flag ->
+      let code', out', err' = run "%s %s" sta flag in
+      Alcotest.(check int) (flag ^ " exits 0") 0 code';
+      Alcotest.(check string) (flag ^ ": same stdout") out out';
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: deprecation notice on stderr (%s)" flag err')
+        true
+        (contains ~sub:flag err' && contains ~sub:"deprecated" err'))
+    [ "--no-prune"; "--sense" ]
+
 (* every subcommand that reads a netlist takes either encoding: profile
    runs on a PXNB file made by convert, and the analyses print the same
    bytes for both encodings of one design *)
 let test_binary_netlists () =
-  let ntl =
-    Option.value ~default:"examples/carry_tree.ntl"
-      (List.find_opt Sys.file_exists [ "../examples/carry_tree.ntl" ])
-  in
+  let ntl = carry_tree in
   let pxb = Filename.temp_file "proxim_cli" ".pxb" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove pxb with Sys_error _ -> ())
@@ -212,5 +255,7 @@ let () =
             test_valid_events_accepted;
           Alcotest.test_case "text and binary netlists" `Quick
             test_binary_netlists;
+          Alcotest.test_case "sta runs no prune masks" `Quick
+            test_sta_default_runs_no_masks;
         ] );
     ]

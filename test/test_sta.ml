@@ -161,6 +161,58 @@ let test_critical_path_and_slack () =
       | None -> Alcotest.fail "no critical po")
    | _ -> Alcotest.fail "expected one po slack")
 
+(* Sta.po_slacks indexes the arrivals once; it must agree exactly with
+   the per-output List.assoc_opt scan it replaced, here on a design whose
+   outputs include a primary input, a quiet net and an internal net, and
+   on reports carrying a net twice (the first binding wins) *)
+let test_po_slacks_matches_assoc () =
+  let d =
+    Design.create
+      ~cells:
+        [
+          cell "u1" nand2 [| "a"; "b" |] "n1";
+          cell "u2" nand2 [| "c"; "d" |] "n2";
+          cell "u3" nand2 [| "n1"; "n2" |] "y";
+        ]
+      ~primary_inputs:[ "a"; "b"; "c"; "d" ]
+      ~primary_outputs:[ "y"; "a"; "n2"; "n1"; "d" ]
+  in
+  let old_po_slacks design (report : Sta.report) ~required =
+    Design.primary_outputs design
+    |> List.filter_map (fun net ->
+         Option.map
+           (fun (a : Sta.arrival) -> (net, required -. a.Sta.time))
+           (List.assoc_opt net report.Sta.arrivals))
+    |> List.sort (fun (_, a) (_, b) -> compare a b)
+  in
+  let th = Lazy.force thresholds in
+  let { Sta.models; _ } = Sta.synthetic_factory () in
+  let arr t = { Sta.time = t; slew = 200e-12; edge = Measure.Fall } in
+  (* c and d stay quiet, so n2 never switches *)
+  let pi = [ ("a", arr 0.); ("b", arr 30e-12) ] in
+  let report = Sta.analyze ~models ~thresholds:th d ~pi in
+  let dup = ("a", arr 500e-12) and late_y = ("y", arr 1e-9) in
+  let reports =
+    [
+      report;
+      { report with Sta.arrivals = dup :: report.Sta.arrivals };
+      { report with Sta.arrivals = report.Sta.arrivals @ [ dup; late_y ] };
+      { report with Sta.arrivals = [] };
+    ]
+  in
+  List.iteri
+    (fun i r ->
+      List.iter
+        (fun required ->
+          Alcotest.(check (list (pair string (float 0.))))
+            (Printf.sprintf "report %d, required %g" i required)
+            (old_po_slacks d r ~required)
+            (Sta.po_slacks d r ~required))
+        [ 0.; 1e-9; -2e-10 ])
+    reports;
+  Alcotest.(check int) "the PI output and two switching nets" 3
+    (List.length (Sta.po_slacks d report ~required:0.))
+
 let test_mixed_edges_rejected () =
   let d = tree () in
   let th = Lazy.force thresholds in
@@ -195,5 +247,7 @@ let () =
           Alcotest.test_case "critical path + slack" `Slow
             test_critical_path_and_slack;
           Alcotest.test_case "mixed edges" `Quick test_mixed_edges_rejected;
+          Alcotest.test_case "po slacks match assoc scan" `Quick
+            test_po_slacks_matches_assoc;
         ] );
     ]

@@ -525,6 +525,60 @@ let test_equivalence_classic () =
 let test_equivalence_proximity () =
   run_equivalence_sequences Sta.Proximity ~sequences:100
 
+(* Synthetic models memoize nothing by default.  A memoized query must
+   return the value a fresh computation would, so analyses with and
+   without the memo (and a second, cache-served memo run) agree bit for
+   bit, while the default models' caches stay empty. *)
+let test_synthetic_memo_transparent () =
+  let th = Lazy.force thresholds in
+  let rng = Prng.create 0x3E30L in
+  for trial = 1 to 20 do
+    let design =
+      random_design rng
+        ~depth:(Prng.int rng ~lo:2 ~hi:4)
+        ~width:(Prng.int rng ~lo:3 ~hi:6)
+    in
+    let pi =
+      List.map (fun p -> (p, random_event rng)) (Design.primary_inputs design)
+    in
+    let per_gate make =
+      let built = Hashtbl.create 4 in
+      let models (c : Design.cell) =
+        let g = c.Design.gate in
+        match Hashtbl.find_opt built g.Gate.name with
+        | Some m -> m
+        | None ->
+          let m = make g in
+          Hashtbl.add built g.Gate.name m;
+          m
+      in
+      (built, models)
+    in
+    let plain, plain_models = per_gate (fun g -> Models.synthetic g) in
+    let memo, memo_models =
+      per_gate (fun g -> Models.synthetic ~memo:true g)
+    in
+    List.iter
+      (fun mode ->
+        let run models = Sta.analyze ~mode ~models ~thresholds:th design ~pi in
+        let reference = run plain_models in
+        List.iteri
+          (fun i r ->
+            if not (Sta.report_equal reference r) then
+              Alcotest.failf "trial %d, %s: memo run %d differs" trial
+                (mode_name mode) (i + 1))
+          [ run memo_models; run memo_models ])
+      [ Sta.Classic; Sta.Proximity ];
+    let entries tbl =
+      Hashtbl.fold
+        (fun _ (m : Models.t) acc ->
+          acc + (m.Models.cache_stats ()).Memo_cache.entries)
+        tbl 0
+    in
+    Alcotest.(check int) "default models cache nothing" 0 (entries plain);
+    Alcotest.(check bool) "memo models did cache" true (entries memo > 0)
+  done
+
 let test_swap_models_equiv () =
   let d = reconvergent () in
   let th = Lazy.force thresholds in
@@ -576,5 +630,7 @@ let () =
           Alcotest.test_case "proximity 100 sequences" `Slow
             test_equivalence_proximity;
           Alcotest.test_case "swap models" `Slow test_swap_models_equiv;
+          Alcotest.test_case "synthetic memo transparent" `Slow
+            test_synthetic_memo_transparent;
         ] );
     ]
