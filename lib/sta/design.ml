@@ -12,100 +12,67 @@ type t = {
   cell_list : cell list;
   pis : string list;
   pos : string list;
-  pos_tbl : (string, unit) Hashtbl.t;  (* membership index for fanout_load *)
+  po_mask : bool array;  (* net id -> is a primary output, for fanout_load *)
   graph : cell Graph.t;
 }
 
+let message = function
+  | Graph.Duplicate_cell { name; _ } -> "duplicate cell " ^ name
+  | Graph.Driven_twice net -> "net driven twice: " ^ net
+  | Graph.Input_driven net -> "primary input driven: " ^ net
+  | Graph.Undriven_net net -> "undriven net " ^ net
+  | Graph.Undriven_output net -> "undriven primary output " ^ net
+  | Graph.Cycle { through } -> "combinational cycle through " ^ through
+
 let create ~cells:cell_list ~primary_inputs:pis ~primary_outputs:pos =
-  (* every membership test goes through a hash table: validation must
-     stay linear in the design size, or million-cell netlists spend
-     longer here than in the analysis proper *)
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      if Hashtbl.mem seen c.name then
-        invalid_arg ("Design.create: duplicate cell " ^ c.name);
-      Hashtbl.add seen c.name ();
-      if Array.length c.input_nets <> c.gate.Gate.fan_in then
-        invalid_arg ("Design.create: arity mismatch on " ^ c.name))
-    cell_list;
-  let pi_tbl = Hashtbl.create (List.length pis) in
-  List.iter (fun net -> Hashtbl.replace pi_tbl net ()) pis;
-  let driver_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      if Hashtbl.mem driver_tbl c.output_net then
-        invalid_arg ("Design.create: net driven twice: " ^ c.output_net);
-      if Hashtbl.mem pi_tbl c.output_net then
-        invalid_arg ("Design.create: primary input driven: " ^ c.output_net);
-      Hashtbl.add driver_tbl c.output_net c)
-    cell_list;
-  (* every read net must be driven or be a primary input *)
-  List.iter
-    (fun c ->
-      Array.iter
-        (fun net ->
-          if (not (Hashtbl.mem driver_tbl net)) && not (Hashtbl.mem pi_tbl net)
-          then invalid_arg ("Design.create: undriven net " ^ net))
-        c.input_nets)
-    cell_list;
-  List.iter
-    (fun net ->
-      if (not (Hashtbl.mem driver_tbl net)) && not (Hashtbl.mem pi_tbl net)
-      then invalid_arg ("Design.create: undriven primary output " ^ net))
-    pos;
-  let graph =
-    try
-      Graph.build
-        ~cells:
-          (List.map
-             (fun c ->
-               {
-                 Graph.spec_name = c.name;
-                 spec_payload = c;
-                 spec_inputs = c.input_nets;
-                 spec_output = c.output_net;
-               })
-             cell_list)
-        ~primary_inputs:pis ~primary_outputs:pos
-    with Graph.Cycle { through } ->
-      invalid_arg ("Design.create: combinational cycle through " ^ through)
+  (* pin arity is the one check Graph.build cannot make; it ranks with
+     duplicate cells, by position *)
+  let arity =
+    List.find_mapi
+      (fun i c ->
+        if Array.length c.input_nets <> c.gate.Gate.fan_in then Some (i, c.name)
+        else None)
+      cell_list
   in
-  let pos_tbl = Hashtbl.create (List.length pos) in
-  List.iter (fun net -> Hashtbl.replace pos_tbl net ()) pos;
-  { cell_list; pis; pos; pos_tbl; graph }
+  let spec c =
+    { Graph.spec_name = c.name; spec_payload = c; spec_inputs = c.input_nets;
+      spec_output = c.output_net }
+  in
+  let fail what = invalid_arg ("Design.create: " ^ what) in
+  match
+    ( Graph.build ~cells:(List.map spec cell_list) ~primary_inputs:pis
+        ~primary_outputs:pos,
+      arity )
+  with
+  | exception Graph.Malformed d -> (
+    match (d, arity) with
+    | Graph.Duplicate_cell { position; _ }, Some (i, _) when position <= i ->
+      fail (message d)
+    | _, Some (_, c) -> fail ("arity mismatch on " ^ c)
+    | _, None -> fail (message d))
+  | _, Some (_, c) -> fail ("arity mismatch on " ^ c)
+  | graph, None ->
+    let po_mask = Array.make (Graph.net_count graph) false in
+    Array.iter (fun net -> po_mask.(net) <- true) (Graph.primary_outputs graph);
+    { cell_list; pis; pos; po_mask; graph }
 
 let cells t = t.cell_list
 let primary_inputs t = t.pis
 let primary_outputs t = t.pos
 let graph t = t.graph
 
-let topological t =
-  Array.to_list (Array.map (Graph.payload t.graph) (Graph.topological t.graph))
-
-let readers t ~net =
-  match Graph.net_id t.graph net with
-  | None -> []
-  | Some id ->
-    Array.to_list
-      (Array.map
-         (fun (c, pin) -> (Graph.payload t.graph c, pin))
-         (Graph.readers t.graph ~net:id))
-
-let driver t ~net =
-  match Graph.net_id t.graph net with
-  | None -> None
-  | Some id ->
-    Option.map (Graph.payload t.graph) (Graph.driver t.graph ~net:id)
-
 let default_wire_cap = 20e-15
 let pad_cap = 50e-15
 
 let fanout_load ?(wire_cap = default_wire_cap) t ~net =
-  let pin_caps =
-    List.fold_left
-      (fun acc (c, _pin) -> acc +. Gate.input_capacitance c.gate)
-      0. (readers t ~net)
-  in
-  let pad = if Hashtbl.mem t.pos_tbl net then pad_cap else 0. in
-  pin_caps +. wire_cap +. pad
+  match Graph.net_id t.graph net with
+  | None -> wire_cap
+  | Some id ->
+    let pin_caps =
+      Array.fold_left
+        (fun acc (c, _pin) ->
+          acc +. Gate.input_capacitance (Graph.payload t.graph c).gate)
+        0. (Graph.readers t.graph ~net:id)
+    in
+    let pad = if t.po_mask.(id) then pad_cap else 0. in
+    pin_caps +. wire_cap +. pad

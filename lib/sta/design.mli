@@ -21,14 +21,14 @@ val create :
 (** Validates: cell names unique, pin arities match the gates, every
     non-primary-input net is driven by exactly one cell, primary outputs
     exist, and the design is acyclic.  Raises [Invalid_argument] with a
-    descriptive message otherwise. *)
+    descriptive message otherwise: the first defect, by class in that
+    order, and a duplicate or an arity mismatch by cell position.  Every
+    check but arity runs in {!Proxim_timing.Graph.build}, the one pass
+    that hashes the design's names, on the ids it interns. *)
 
 val cells : t -> cell list
 val primary_inputs : t -> string list
 val primary_outputs : t -> string list
-
-val topological : t -> cell list
-(** Cells in dependency order (drivers before readers). *)
 
 val fanout_load : ?wire_cap:float -> t -> net:string -> float
 (** Capacitive load seen by the driver of [net]: the sum of the input
@@ -36,14 +36,8 @@ val fanout_load : ?wire_cap:float -> t -> net:string -> float
     20 fF) for the interconnect, plus 50 fF if the net is a primary
     output (pad/probe load). *)
 
-val driver : t -> net:string -> cell option
-(** The cell driving [net]; [None] for primary inputs. *)
-
-val readers : t -> net:string -> (cell * int) list
-(** Cells (with the pin index) reading [net]. *)
-
 val graph : t -> cell Proxim_timing.Graph.t
 (** The design's timing-graph IR: interned nets and cells with adjacency,
-    topological order and levels.  {!topological}, {!driver} and
-    {!readers} are views over it; the {!Sta} propagation engines and the
-    incremental timing analysis annotate it directly. *)
+    topological order and levels, looked up by id.  The {!Sta}
+    propagation engines and the incremental timing analysis annotate it
+    directly. *)

@@ -3,6 +3,7 @@ module Gate = Proxim_gates.Gate
 module Tech = Proxim_gates.Tech
 module Pwl = Proxim_waveform.Pwl
 module Transient = Proxim_spice.Transient
+module Graph = Proxim_timing.Graph
 
 type t = {
   design : Design.t;
@@ -12,16 +13,8 @@ type t = {
 }
 
 let all_nets design =
-  let nets = Hashtbl.create 32 in
-  let add n = if not (Hashtbl.mem nets n) then Hashtbl.add nets n () in
-  List.iter add (Design.primary_inputs design);
-  List.iter
-    (fun (c : Design.cell) ->
-      add c.Design.output_net;
-      Array.iter add c.Design.input_nets)
-    (Design.cells design);
-  Hashtbl.fold (fun n () acc -> n :: acc) nets []
-  |> List.sort compare
+  let g = Design.graph design in
+  List.sort compare (List.init (Graph.net_count g) (Graph.net_name g))
 
 let shared_tech design =
   match Design.cells design with
@@ -45,6 +38,7 @@ let flatten ?wire_cap design ~pi_waves =
   let b = Netlist.create () in
   let vdd_node = Netlist.node b "vdd" in
   let nets = all_nets design in
+  let g = Design.graph design in
   let node_of_net = List.map (fun n -> (n, Netlist.node b n)) nets in
   let node net = List.assoc net node_of_net in
   (* cell transistors *)
@@ -60,11 +54,11 @@ let flatten ?wire_cap design ~pi_waves =
   List.iter
     (fun net_name ->
       let pin_caps =
-        List.fold_left
-          (fun acc ((c : Design.cell), _pin) ->
-            acc +. Gate.input_capacitance c.Design.gate)
+        Array.fold_left
+          (fun acc (c, _pin) ->
+            acc +. Gate.input_capacitance (Graph.payload g c).Design.gate)
           0.
-          (Design.readers design ~net:net_name)
+          (Graph.readers g ~net:(Option.get (Graph.net_id g net_name)))
       in
       let wire = Design.fanout_load ?wire_cap design ~net:net_name -. pin_caps in
       let total = pin_caps +. wire in

@@ -345,26 +345,22 @@ let swap_models ?pool ir models =
 
 (* ---- reports ---- *)
 
-let source_arrivals ir =
+(* the switching nets among [nets], named, in order *)
+let named_arrivals ir nets =
   let g = Design.graph ir.design in
-  Array.to_list (Graph.primary_inputs g)
-  |> List.filter_map (fun net ->
-       Option.map
-         (fun a -> (Graph.net_name g net, a))
-         (Timing.arrival ir.timing ~net))
-
-let derived_arrivals ir =
-  let g = Design.graph ir.design in
-  Array.to_list (Graph.topological g)
-  |> List.filter_map (fun c ->
-       Option.map
-         (fun (v : Timing.verdict) ->
-           (Graph.net_name g (Graph.cell_output g c), v.Timing.out))
-         (Timing.verdict ir.timing ~cell:c))
+  List.filter_map
+    (fun net ->
+      Option.map
+        (fun a -> (Graph.net_name g net, a))
+        (Timing.arrival ir.timing ~net))
+    nets
 
 let report_with ir ~heads =
   let g = Design.graph ir.design in
-  let arrivals = heads @ derived_arrivals ir in
+  let outs =
+    List.map (Graph.cell_output g) (Array.to_list (Graph.topological g))
+  in
+  let arrivals = heads @ named_arrivals ir outs in
   let critical_po =
     List.fold_left
       (fun best net ->
@@ -381,13 +377,12 @@ let report_with ir ~heads =
       (Design.primary_outputs ir.design)
   in
   let predecessors =
-    Array.to_list (Graph.topological g)
-    |> List.filter_map (fun c ->
-         let out = Graph.cell_output g c in
-         Option.map
-           (fun (pred, _pin) ->
-             (Graph.net_name g out, Graph.net_name g pred))
-           (Timing.predecessor ir.timing ~net:out))
+    List.filter_map
+      (fun out ->
+        Option.map
+          (fun (pred, _pin) -> (Graph.net_name g out, Graph.net_name g pred))
+          (Timing.predecessor ir.timing ~net:out))
+      outs
   in
   { arrivals; critical_po; predecessors }
 
@@ -399,7 +394,9 @@ let with_pi_all design named = function
         (fun net -> if List.mem_assoc net named then None else Some (net, a))
         (Design.primary_inputs design)
 
-let report ir = report_with ir ~heads:(source_arrivals ir)
+let report ir =
+  let pis = Graph.primary_inputs (Design.graph ir.design) in
+  report_with ir ~heads:(named_arrivals ir (Array.to_list pis))
 
 let report_equal (r1 : report) (r2 : report) =
   let named_eq (n1, a1) (n2, a2) =

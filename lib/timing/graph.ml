@@ -70,11 +70,17 @@ type 'cell spec = {
   spec_output : string;
 }
 
+module Names = Hashtbl.Make (struct
+  type t = string
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type 'cell t = {
   net_names : string array;
-  net_ids : (string, int) Hashtbl.t;
+  net_ids : int Names.t;
   cell_names : string array;
-  cell_ids : (string, int) Hashtbl.t;
+  cell_ids : int Names.t;
   payloads : 'cell array;
   cell_inputs : int array array;  (* cell -> input net ids, pin order *)
   cell_outputs : int array;  (* cell -> output net id *)
@@ -87,44 +93,68 @@ type 'cell t = {
   levels : int array array;  (* level -> cells, topo order within a level *)
 }
 
-exception Cycle of { through : string }
+type defect =
+  | Duplicate_cell of { position : int; name : string }
+  | Driven_twice of string
+  | Input_driven of string
+  | Undriven_net of string
+  | Undriven_output of string
+  | Cycle of { through : string }
+
+exception Malformed of defect
+
+let malformed d = raise (Malformed d)
 
 let build ~cells ~primary_inputs ~primary_outputs =
-  let net_ids = Hashtbl.create 64 in
+  let cells = Array.of_list cells in
+  let n_cells = Array.length cells in
+  (* the one interning pass of a design load: sized up front so a
+     million-cell netlist never rehashes *)
+  let net_ids = Names.create (n_cells + List.length primary_inputs) in
   let net_names_rev = ref [] in
   let n_nets = ref 0 in
   let intern name =
-    match Hashtbl.find_opt net_ids name with
+    match Names.find_opt net_ids name with
     | Some id -> id
     | None ->
       let id = !n_nets in
       incr n_nets;
-      Hashtbl.add net_ids name id;
+      Names.add net_ids name id;
       net_names_rev := name :: !net_names_rev;
       id
   in
   let pis = Array.of_list (List.map intern primary_inputs) in
-  let cells = Array.of_list cells in
-  let n_cells = Array.length cells in
-  let cell_ids = Hashtbl.create 64 in
+  (* primary inputs are interned first: ids below [n_pi] are sources *)
+  let n_pi = !n_nets in
+  let cell_ids = Names.create n_cells in
   Array.iteri
     (fun i c ->
-      if Hashtbl.mem cell_ids c.spec_name then
-        invalid_arg ("Graph.build: duplicate cell " ^ c.spec_name);
-      Hashtbl.add cell_ids c.spec_name i)
+      if Names.mem cell_ids c.spec_name then
+        malformed (Duplicate_cell { position = i; name = c.spec_name });
+      Names.add cell_ids c.spec_name i)
     cells;
   let cell_inputs = Array.map (fun c -> Array.map intern c.spec_inputs) cells in
   let cell_outputs = Array.map (fun c -> intern c.spec_output) cells in
   let pos = Array.of_list (List.map intern primary_outputs) in
+  let n_nets = !n_nets in
   let net_names = Array.of_list (List.rev !net_names_rev) in
-  let net_driver = Array.make !n_nets (-1) in
+  let net_driver = Array.make n_nets (-1) in
   Array.iteri
     (fun i out ->
-      if net_driver.(out) >= 0 then
-        invalid_arg ("Graph.build: net driven twice: " ^ net_names.(out));
+      if net_driver.(out) >= 0 then malformed (Driven_twice net_names.(out));
+      if out < n_pi then malformed (Input_driven net_names.(out));
       net_driver.(out) <- i)
     cell_outputs;
-  let readers_rev = Array.make !n_nets [] in
+  let sourced net = net < n_pi || net_driver.(net) >= 0 in
+  Array.iter
+    (Array.iter (fun net ->
+         if not (sourced net) then malformed (Undriven_net net_names.(net))))
+    cell_inputs;
+  Array.iter
+    (fun net ->
+      if not (sourced net) then malformed (Undriven_output net_names.(net)))
+    pos;
+  let readers_rev = Array.make n_nets [] in
   Array.iteri
     (fun i inputs ->
       Array.iteri
@@ -140,7 +170,7 @@ let build ~cells ~primary_inputs ~primary_outputs =
   let rec visit i =
     match state.(i) with
     | `Black -> ()
-    | `Gray -> raise (Cycle { through = cells.(i).spec_name })
+    | `Gray -> malformed (Cycle { through = cells.(i).spec_name })
     | `White ->
       state.(i) <- `Gray;
       Array.iter
@@ -198,9 +228,9 @@ let build ~cells ~primary_inputs ~primary_outputs =
 let net_count t = Array.length t.net_names
 let cell_count t = Array.length t.payloads
 let net_name t id = t.net_names.(id)
-let net_id t name = Hashtbl.find_opt t.net_ids name
+let net_id t name = Names.find_opt t.net_ids name
 let cell_name t id = t.cell_names.(id)
-let cell_id t name = Hashtbl.find_opt t.cell_ids name
+let cell_id t name = Names.find_opt t.cell_ids name
 let payload t id = t.payloads.(id)
 let cell_inputs t id = t.cell_inputs.(id)
 let cell_output t id = t.cell_outputs.(id)
@@ -217,19 +247,14 @@ let level_count t = Array.length t.levels
 let level t i = t.levels.(i)
 
 let fanin_cone t ~cells =
-  let seen = Array.make (cell_count t) false in
-  let rec mark_cell i =
-    if not seen.(i) then begin
-      seen.(i) <- true;
-      Array.iter
-        (fun net ->
-          let d = t.net_driver.(net) in
-          if d >= 0 then mark_cell d)
-        t.cell_inputs.(i)
-    end
+  let drivers i =
+    Array.fold_right
+      (fun net acc ->
+        let d = t.net_driver.(net) in
+        if d >= 0 then d :: acc else acc)
+      t.cell_inputs.(i) []
   in
-  List.iter mark_cell cells;
-  seen
+  reachable ~n:(cell_count t) ~succ:drivers ~roots:cells
 
 let fanout_cone t ~nets ~cells =
   let dirty = Array.make (cell_count t) false in

@@ -38,9 +38,19 @@ type 'cell spec = {
 
 type 'cell t
 
-exception Cycle of { through : string }
-(** Raised by {!build} on a combinational cycle; [through] names a cell
-    on the cycle (the first one the traversal re-enters). *)
+(** Why {!build} rejected a netlist, with names as the caller spelled
+    them. *)
+type defect =
+  | Duplicate_cell of { position : int; name : string }
+      (** the second cell named [name], at [position] in [cells] *)
+  | Driven_twice of string
+  | Input_driven of string  (** a primary input driven by a cell *)
+  | Undriven_net of string  (** read by a cell, driven by none *)
+  | Undriven_output of string
+  | Cycle of { through : string }
+      (** [through] names the first cell the traversal re-enters *)
+
+exception Malformed of defect
 
 val build :
   cells:'cell spec list ->
@@ -49,10 +59,15 @@ val build :
   'cell t
 (** Intern the nets and cells and precompute adjacency, topological order
     (drivers before readers; DFS postorder over the cells in declaration
-    order) and levels.  Raises {!Cycle} on a combinational cycle and
-    [Invalid_argument] on duplicate cell names or doubly-driven nets —
-    callers wanting richer validation (arity, undriven nets) check before
-    building. *)
+    order) and levels.  This is the one place a design's names are
+    hashed, into [String.equal] tables sized from the cell and primary
+    input counts.  Net ids follow first appearance: primary inputs, cell
+    inputs, cell outputs, primary outputs.  The structural checks run on
+    those ids and raise {!Malformed} with the first defect, taking the
+    classes in this order and each class in declaration order: duplicate
+    cells; nets with two sources ([Driven_twice], [Input_driven]);
+    undriven read nets; undriven primary outputs; cycles.  Pin arity is
+    the caller's to check. *)
 
 val net_count : 'cell t -> int
 val cell_count : 'cell t -> int

@@ -25,66 +25,64 @@ let compare_paths a b =
   | 0 -> compare a.p_steps b.p_steps
   | c -> c
 
-let take k l =
-  let rec go k acc = function
-    | [] -> List.rev acc
-    | _ when k = 0 -> List.rev acc
-    | x :: tl -> go (k - 1) (x :: acc) tl
-  in
-  go k [] l
-
 let k_worst timing ~po ~k =
   if k < 1 then invalid_arg "Paths.k_worst: k must be >= 1";
   let g = Timing.graph timing in
   let memo = Array.make (Graph.net_count g) [] in
-  let source net =
-    match Timing.arrival timing ~net with
-    | Some a when Graph.driver g ~net = None ->
-      memo.(net) <- [ { p_arrival = a.Timing.time; p_steps = [ { net; via_pin = -1 } ] } ]
-    | Some _ | None -> ()
+  let seed net =
+    if Graph.driver_id g ~net < 0 then
+      match Timing.arrival timing ~net with
+      | Some a ->
+        memo.(net) <-
+          [ { p_arrival = a.Timing.time; p_steps = [ { net; via_pin = -1 } ] } ]
+      | None -> ()
   in
-  for net = 0 to Graph.net_count g - 1 do
-    source net
-  done;
+  (* a net's list depends only on its fanin cone, so the sweep visits the
+     cone of [po]'s driver and seeds only the sources that cone reads *)
+  let cone =
+    match Graph.driver g ~net:po with
+    | None -> Array.make (Graph.cell_count g) false
+    | Some d -> Graph.fanin_cone g ~cells:[ d ]
+  in
+  let merge cell (v : Timing.verdict) =
+    let out = Graph.cell_output g cell in
+    let extend (c : Timing.candidate) ps =
+      match Timing.arrival timing ~net:c.Timing.from_net with
+      | None -> []
+      | Some a_in ->
+        let d = c.Timing.would_be -. a_in.Timing.time in
+        List.map
+          (fun p ->
+            {
+              p_arrival = p.p_arrival +. d;
+              p_steps =
+                { net = out; via_pin = c.Timing.pin } :: p.p_steps;
+            })
+          ps
+    in
+    let head, alternatives =
+      Array.fold_left
+        (fun (head, alts) (c : Timing.candidate) ->
+          match memo.(c.Timing.from_net) with
+          | [] -> (head, alts)
+          | best :: others when c.Timing.pin = v.Timing.winner ->
+            (* the winner's extension of the winner input's own
+               rank-1 path carries the exact arrival: force it to
+               rank 1, demote that input's lower ranks *)
+            (extend c [ best ], extend c others @ alts)
+          | ps -> (head, extend c ps @ alts))
+        ([], []) v.Timing.candidates
+    in
+    let ranked = head @ List.sort compare_paths alternatives in
+    memo.(out) <- List.filteri (fun i _ -> i < k) ranked
+  in
+  seed po;
   Array.iter
     (fun cell ->
-      match Timing.verdict timing ~cell with
-      | None -> ()
-      | Some v ->
-        let out = Graph.cell_output g cell in
-        let extend (c : Timing.candidate) ps =
-          match Timing.arrival timing ~net:c.Timing.from_net with
-          | None -> []
-          | Some a_in ->
-            let d = c.Timing.would_be -. a_in.Timing.time in
-            List.map
-              (fun p ->
-                {
-                  p_arrival = p.p_arrival +. d;
-                  p_steps =
-                    { net = out; via_pin = c.Timing.pin } :: p.p_steps;
-                })
-              ps
-        in
-        let head, alternatives =
-          Array.fold_left
-            (fun (head, alts) (c : Timing.candidate) ->
-              match memo.(c.Timing.from_net) with
-              | [] -> (head, alts)
-              | best :: others when c.Timing.pin = v.Timing.winner ->
-                (* the winner's extension of the winner input's own
-                   rank-1 path carries the exact arrival: force it to
-                   rank 1, demote that input's lower ranks *)
-                (extend c [ best ], extend c others @ alts)
-              | ps -> (head, extend c ps @ alts))
-            ([], []) v.Timing.candidates
-        in
-        let ranked =
-          match head with
-          | [] -> take k (List.sort compare_paths alternatives)
-          | h :: _ -> h :: take (k - 1) (List.sort compare_paths alternatives)
-        in
-        memo.(out) <- ranked)
+      if cone.(cell) then begin
+        Array.iter seed (Graph.cell_inputs g cell);
+        Option.iter (merge cell) (Timing.verdict timing ~cell)
+      end)
     (Graph.topological g);
   memo.(po)
 

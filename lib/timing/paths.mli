@@ -1,8 +1,10 @@
 (** K-worst path enumeration over an analyzed {!Timing} state.
 
-    Replaces the single [critical_path] chain: for every endpoint the
+    Replaces the single [critical_path] chain: for an endpoint the
     top-K latest-arriving paths are enumerated by merging per-net top-K
-    lists in topological order (cost [O(E * K log K)]).
+    lists in topological order over the endpoint's fanin cone only
+    (cost [O(E_cone * K log K)], plus one pass over the topological
+    order): a net's list depends on nothing outside its own cone.
 
     Path semantics: every arc [(input net -> cell output)] contributes
     [would_be - arrival(input)], where [would_be] is the engine's

@@ -24,7 +24,8 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries a byte offset and a
     reason.  Handles the full value grammar including [\u] escapes
-    (decoded to UTF-8); duplicate object keys are kept in order. *)
+    (decoded to UTF-8); duplicate object keys are kept in order.  Arrays
+    and objects nested more than 512 deep are an [Error]. *)
 
 val member : string -> t -> t option
 (** First field of that name when the value is an [Obj]. *)

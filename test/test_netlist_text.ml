@@ -3,6 +3,7 @@
 module Tech = Proxim_gates.Tech
 module Gate = Proxim_gates.Gate
 module Design = Proxim_sta.Design
+module Graph = Proxim_timing.Graph
 module Netlist_text = Proxim_sta.Netlist_text
 module Netlist_file = Proxim_sta.Netlist_file
 module Vtc = Proxim_vtc.Vtc
@@ -32,8 +33,10 @@ let test_parse_sample () =
       (Design.primary_inputs design);
     Alcotest.(check (list string)) "outputs" [ "carry" ]
       (Design.primary_outputs design);
-    (match Design.driver design ~net:"carry" with
-     | Some c ->
+    let g = Design.graph design in
+    (match Graph.driver g ~net:(Option.get (Graph.net_id g "carry")) with
+     | Some id ->
+       let c = Graph.payload g id in
        Alcotest.(check string) "driver" "u5" c.Design.name;
        Alcotest.(check int) "fan-in" 3 c.Design.gate.Gate.fan_in
      | None -> Alcotest.fail "no driver")

@@ -342,6 +342,19 @@ let test_adversarial_frames () =
       with_conn addr (fun fd ->
           load_design fd;
           ignore (rpc_ok fd attach_req));
+      (* a bracket bomb inside the frame cap: bad_json, and the same
+         session keeps answering *)
+      with_conn addr (fun fd ->
+          Frame.write fd (String.make 1_000_000 '[');
+          (match Frame.read fd with
+           | Ok s ->
+             let j = Result.get_ok (Json.of_string s) in
+             Alcotest.(check (option string)) "deep nesting" (Some "bad_json")
+               (Serve.error_code j)
+           | Error e ->
+             Alcotest.failf "no bad_json reply: %s"
+               (Frame.read_error_to_string e));
+          ignore (rpc_ok fd (Json.Obj [ ("op", str "ping") ])));
       (* after all that abuse the server still answers *)
       with_conn addr (fun fd ->
           ignore (rpc_ok fd (Json.Obj [ ("op", str "ping") ]))))

@@ -5,7 +5,10 @@ module Tech = Proxim_gates.Tech
 module Vtc = Proxim_vtc.Vtc
 module Measure = Proxim_measure.Measure
 module Design = Proxim_sta.Design
+module Graph = Proxim_timing.Graph
 module Sta = Proxim_sta.Sta
+module Netlist_bin = Proxim_sta.Netlist_bin
+module Netlist_file = Proxim_sta.Netlist_file
 
 let tech = Tech.generic_5v
 let nand2 = Gate.nand tech ~fan_in:2
@@ -28,7 +31,10 @@ let tree () =
 
 let test_create_and_topo () =
   let d = tree () in
-  let topo = List.map (fun c -> c.Design.name) (Design.topological d) in
+  let g = Design.graph d in
+  let topo =
+    List.map (Graph.cell_name g) (Array.to_list (Graph.topological g))
+  in
   let pos name =
     let rec idx i = function
       | [] -> Alcotest.failf "missing %s" name
@@ -74,6 +80,168 @@ let test_create_validation () =
     (Invalid_argument "Design.create: combinational cycle through u1")
     (fun () -> ignore (cyclic ()))
 
+(* ---- every Design.create message, through every loader ---- *)
+
+(* A PXNB encoding of an arbitrary (possibly malformed) netlist, written
+   from the format description rather than by Netlist_bin.write_channel,
+   which only serializes valid designs. *)
+let pxnb_of ~cells ~pis ~pos =
+  let b = Buffer.create 256 in
+  let rec varint n =
+    if n < 0x80 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+      varint (n lsr 7)
+    end
+  in
+  let str s =
+    varint (String.length s);
+    Buffer.add_string b s
+  in
+  let strs l =
+    varint (List.length l);
+    List.iter str l
+  in
+  Buffer.add_string b "PXNB\x01";
+  str "bad";
+  Buffer.add_char b '\x00' (* no thresholds *);
+  let gates =
+    List.sort_uniq compare (List.map (fun c -> c.Design.gate.Gate.name) cells)
+  in
+  strs gates;
+  strs pis;
+  strs pos;
+  varint (List.length cells);
+  List.iter
+    (fun c ->
+      let name = c.Design.gate.Gate.name in
+      varint (Option.get (List.find_index (String.equal name) gates));
+      str c.Design.name;
+      str c.Design.output_net;
+      strs (Array.to_list c.Design.input_nets))
+    cells;
+  Buffer.add_char b '\xED';
+  Buffer.contents b
+
+let text_of ~cells ~pis ~pos =
+  let line c =
+    Printf.sprintf "cell %s %s %s -> %s\n" c.Design.name c.Design.gate.Gate.name
+      (String.concat " " (Array.to_list c.Design.input_nets))
+      c.Design.output_net
+  in
+  String.concat ""
+    ([ "design bad\n"; "input " ^ String.concat " " pis ^ "\n";
+       "output " ^ String.concat " " pos ^ "\n" ]
+    @ List.map line cells @ [ "end\n" ])
+
+let create_error ~cells ~pis ~pos =
+  match Design.create ~cells ~primary_inputs:pis ~primary_outputs:pos with
+  | _ -> Ok ()
+  | exception Invalid_argument m -> Error m
+
+let bin_error ~cells ~pis ~pos =
+  let path = Filename.temp_file "proxim_design" ".pxb" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (pxnb_of ~cells ~pis ~pos));
+      In_channel.with_open_bin path (fun ic ->
+          Result.map ignore (Netlist_bin.read_channel tech ic)))
+
+let text_error ~cells ~pis ~pos =
+  Result.map ignore (Netlist_file.of_text tech (text_of ~cells ~pis ~pos))
+
+(* [expect] from Design.create and the PXNB loader alike; the text loader
+   too, unless the netlist has an arity mismatch, which its scanner
+   reports first with a line number ([text], pinned separately). *)
+let check_defect ?text what ~cells ~pis ~pos expect =
+  let result = Alcotest.(result unit string) in
+  Alcotest.check result (what ^ ": Design.create") (Error expect)
+    (create_error ~cells ~pis ~pos);
+  Alcotest.check result (what ^ ": PXNB") (Error expect)
+    (bin_error ~cells ~pis ~pos);
+  Alcotest.check result (what ^ ": text")
+    (Error (Option.value text ~default:expect))
+    (text_error ~cells ~pis ~pos)
+
+let test_create_messages_every_loader () =
+  let a = [ "a" ] in
+  (* one defect each *)
+  check_defect "duplicate cell"
+    ~cells:[ cell "u1" inv [| "a" |] "x"; cell "u1" inv [| "x" |] "y" ]
+    ~pis:a ~pos:[ "y" ] "Design.create: duplicate cell u1";
+  check_defect "arity mismatch"
+    ~text:"line 4:9: gate nand2 wants 2 inputs, got 1"
+    ~cells:[ cell "u1" nand2 [| "a" |] "y" ]
+    ~pis:a ~pos:[ "y" ] "Design.create: arity mismatch on u1";
+  check_defect "driven twice"
+    ~cells:[ cell "u1" inv [| "a" |] "x"; cell "u2" inv [| "a" |] "x" ]
+    ~pis:a ~pos:[ "x" ] "Design.create: net driven twice: x";
+  check_defect "primary input driven"
+    ~cells:[ cell "u1" inv [| "a" |] "b" ]
+    ~pis:[ "a"; "b" ] ~pos:[ "b" ] "Design.create: primary input driven: b";
+  check_defect "undriven net"
+    ~cells:[ cell "u1" inv [| "ghost" |] "y" ]
+    ~pis:a ~pos:[ "y" ] "Design.create: undriven net ghost";
+  check_defect "undriven primary output"
+    ~cells:[ cell "u1" inv [| "a" |] "y" ]
+    ~pis:a ~pos:[ "y"; "z" ] "Design.create: undriven primary output z";
+  check_defect "cycle"
+    ~cells:[ cell "u1" nand2 [| "a"; "y" |] "x"; cell "u2" inv [| "x" |] "y" ]
+    ~pis:a ~pos:[ "y" ] "Design.create: combinational cycle through u1";
+  (* two defects: which one wins.  Duplicates and arity mismatches are
+     one class, reported in cell order (a duplicate first when one cell
+     has both). *)
+  check_defect "duplicate before a later arity mismatch"
+    ~text:"line 6:9: gate nand2 wants 2 inputs, got 1"
+    ~cells:
+      [ cell "u1" inv [| "a" |] "x"; cell "u1" inv [| "x" |] "y";
+        cell "u2" nand2 [| "y" |] "z" ]
+    ~pis:a ~pos:[ "z" ] "Design.create: duplicate cell u1";
+  check_defect "arity mismatch before a later duplicate"
+    ~text:"line 4:9: gate nand2 wants 2 inputs, got 1"
+    ~cells:
+      [ cell "u0" nand2 [| "a" |] "w"; cell "u1" inv [| "w" |] "x";
+        cell "u1" inv [| "x" |] "y" ]
+    ~pis:a ~pos:[ "y" ] "Design.create: arity mismatch on u0";
+  check_defect "duplicate and arity mismatch on one cell"
+    ~text:"line 5:9: gate nand2 wants 2 inputs, got 1"
+    ~cells:[ cell "u1" inv [| "a" |] "x"; cell "u1" nand2 [| "x" |] "y" ]
+    ~pis:a ~pos:[ "y" ] "Design.create: duplicate cell u1";
+  check_defect "arity mismatch before an earlier double drive"
+    ~text:"line 6:9: gate nand2 wants 2 inputs, got 1"
+    ~cells:
+      [ cell "u1" inv [| "a" |] "x"; cell "u2" inv [| "a" |] "x";
+        cell "u3" nand2 [| "x" |] "y" ]
+    ~pis:a ~pos:[ "y" ] "Design.create: arity mismatch on u3";
+  (* double drives and driven inputs are one class, in cell order *)
+  check_defect "driven input before a later double drive"
+    ~cells:
+      [ cell "u1" inv [| "a" |] "b"; cell "u2" inv [| "a" |] "x";
+        cell "u3" inv [| "a" |] "x" ]
+    ~pis:[ "a"; "b" ] ~pos:[ "x" ] "Design.create: primary input driven: b";
+  check_defect "double drive before a later driven input"
+    ~cells:
+      [ cell "u1" inv [| "a" |] "x"; cell "u2" inv [| "a" |] "x";
+        cell "u3" inv [| "a" |] "b" ]
+    ~pis:[ "a"; "b" ] ~pos:[ "x" ] "Design.create: net driven twice: x";
+  check_defect "double drive before an earlier undriven net"
+    ~cells:
+      [ cell "u1" inv [| "ghost" |] "y"; cell "u2" inv [| "a" |] "x";
+        cell "u3" inv [| "a" |] "x" ]
+    ~pis:a ~pos:[ "y" ] "Design.create: net driven twice: x";
+  check_defect "undriven net before an undriven output"
+    ~cells:[ cell "u1" inv [| "ghost" |] "y" ]
+    ~pis:a ~pos:[ "z"; "y" ] "Design.create: undriven net ghost";
+  check_defect "undriven output before a cycle"
+    ~cells:[ cell "u1" nand2 [| "a"; "y" |] "x"; cell "u2" inv [| "x" |] "y" ]
+    ~pis:a ~pos:[ "y"; "z" ] "Design.create: undriven primary output z";
+  check_defect "undriven net inside a cycle"
+    ~cells:
+      [ cell "u1" nand2 [| "ghost"; "y" |] "x"; cell "u2" inv [| "x" |] "y" ]
+    ~pis:a ~pos:[ "y" ] "Design.create: undriven net ghost"
+
 let test_fanout_load () =
   let d = tree () in
   (* n1 feeds one nand2 pin + default wire cap *)
@@ -83,11 +251,15 @@ let test_fanout_load () =
   (* y is a primary output: wire + pad *)
   Alcotest.(check (float 1e-18)) "po net" (20e-15 +. 50e-15)
     (Design.fanout_load d ~net:"y");
+  let g = Design.graph d in
+  let n1 = Option.get (Graph.net_id g "n1") in
   Alcotest.(check bool) "driver lookup" true
-    (match Design.driver d ~net:"n1" with
-     | Some c -> String.equal c.Design.name "u1"
+    (match Graph.driver g ~net:n1 with
+     | Some c -> String.equal (Graph.cell_name g c) "u1"
      | None -> false);
-  Alcotest.(check int) "readers" 1 (List.length (Design.readers d ~net:"n1"))
+  Alcotest.(check int) "readers" 1 (Array.length (Graph.readers g ~net:n1));
+  Alcotest.(check (float 0.)) "a net the design never mentions" 20e-15
+    (Design.fanout_load d ~net:"nowhere")
 
 let thresholds = lazy (Vtc.thresholds ~points:201 nand2)
 
@@ -236,6 +408,8 @@ let () =
         [
           Alcotest.test_case "topological" `Quick test_create_and_topo;
           Alcotest.test_case "validation" `Quick test_create_validation;
+          Alcotest.test_case "validation messages, every loader" `Quick
+            test_create_messages_every_loader;
           Alcotest.test_case "fanout load" `Quick test_fanout_load;
         ] );
       ( "analysis",

@@ -89,7 +89,7 @@ let test_build_cycle_raises () =
             ~cells:[ spec "u1" [| "a"; "y" |] "x"; spec "u2" [| "x" |] "y" ]
             ~primary_inputs:[ "a" ] ~primary_outputs:[ "y" ]);
        false
-     with Graph.Cycle { through = _ } -> true)
+     with Graph.Malformed (Graph.Cycle { through = _ }) -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Toy propagation engine: delay per arc depends only on the pin, so
@@ -579,6 +579,137 @@ let test_synthetic_memo_transparent () =
     Alcotest.(check bool) "memo models did cache" true (entries memo > 0)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Cone-bounded K-worst and the arrival-reading report, against the
+   whole-design sweeps they replaced                                   *)
+
+(* Paths.k_worst as it was before it was bounded to the endpoint's fanin
+   cone: every source seeded, every cell of the design merged *)
+let whole_design_k_worst timing ~po ~k =
+  let take k l = List.filteri (fun i _ -> i < k) l in
+  let g = Timing.graph timing in
+  let memo = Array.make (Graph.net_count g) [] in
+  for net = 0 to Graph.net_count g - 1 do
+    match Timing.arrival timing ~net with
+    | Some a when Graph.driver g ~net = None ->
+      memo.(net) <-
+        [ { Paths.p_arrival = a.Timing.time;
+            p_steps = [ { Paths.net; via_pin = -1 } ] } ]
+    | Some _ | None -> ()
+  done;
+  Array.iter
+    (fun cell ->
+      match Timing.verdict timing ~cell with
+      | None -> ()
+      | Some v ->
+        let out = Graph.cell_output g cell in
+        let extend (c : Timing.candidate) ps =
+          match Timing.arrival timing ~net:c.Timing.from_net with
+          | None -> []
+          | Some a_in ->
+            let d = c.Timing.would_be -. a_in.Timing.time in
+            List.map
+              (fun (p : Paths.path) ->
+                {
+                  Paths.p_arrival = p.Paths.p_arrival +. d;
+                  p_steps =
+                    { Paths.net = out; via_pin = c.Timing.pin }
+                    :: p.Paths.p_steps;
+                })
+              ps
+        in
+        let head, alternatives =
+          Array.fold_left
+            (fun (head, alts) (c : Timing.candidate) ->
+              match memo.(c.Timing.from_net) with
+              | [] -> (head, alts)
+              | best :: others when c.Timing.pin = v.Timing.winner ->
+                (extend c [ best ], extend c others @ alts)
+              | ps -> (head, extend c ps @ alts))
+            ([], []) v.Timing.candidates
+        in
+        let sorted = List.sort Paths.compare_paths alternatives in
+        memo.(out) <-
+          (match head with
+           | [] -> take k sorted
+           | h :: _ -> h :: take (k - 1) sorted))
+    (Graph.topological g);
+  memo.(po)
+
+(* Sta.report as it was before it read arrivals: the derived arrivals
+   decoded from each cell's verdict *)
+let verdict_report ir =
+  let t = Sta.timing ir in
+  let g = Timing.graph t in
+  let named net a = (Graph.net_name g net, a) in
+  let sources =
+    Array.to_list (Graph.primary_inputs g)
+    |> List.filter_map (fun net ->
+         Option.map (named net) (Timing.arrival t ~net))
+  in
+  let derived =
+    Array.to_list (Graph.topological g)
+    |> List.filter_map (fun cell ->
+         Option.map
+           (fun (v : Timing.verdict) ->
+             named (Graph.cell_output g cell) v.Timing.out)
+           (Timing.verdict t ~cell))
+  in
+  { (Sta.report ir) with Sta.arrivals = sources @ derived }
+
+let check_paths_and_report what ir =
+  let t = Sta.timing ir in
+  let g = Timing.graph t in
+  if not (Sta.report_equal (verdict_report ir) (Sta.report ir)) then
+    Alcotest.failf "%s: report differs from the verdict-decoding one" what;
+  let switching = ref 0 in
+  Array.iter
+    (fun po ->
+      if Timing.arrival t ~net:po <> None then incr switching;
+      List.iter
+        (fun k ->
+          if whole_design_k_worst t ~po ~k <> Paths.k_worst t ~po ~k then
+            Alcotest.failf
+              "%s: k_worst %s, k=%d differs from the whole-design sweep" what
+              (Graph.net_name g po) k)
+        [ 1; 3; 8 ])
+    (Graph.primary_outputs g);
+  if !switching = 0 then Alcotest.failf "%s: no primary output switches" what
+
+let test_cone_paths_match_whole_design () =
+  let th = Lazy.force thresholds in
+  let { Sta.models; _ } = Sta.synthetic_factory () in
+  List.iter
+    (fun mode ->
+      let ir =
+        Sta.build_ir ~mode ~models ~thresholds:th (reconvergent ())
+          ~pi:[ ("a", ev 0.); ("b", ev 30e-12) ]
+      in
+      ignore (Sta.reanalyze ir);
+      check_paths_and_report ("reconvergent, " ^ mode_name mode) ir;
+      List.iter
+        (fun seed ->
+          let _, design =
+            Proxim_sta.Synthgen.generate ~seed ~depth:6 ~tech ~cells:240 ()
+          in
+          let rng = Prng.create (Int64.of_int seed) in
+          (* one edge for every PI: the all-inverting layers alternate
+             polarity, so mixed PI edges would be rejected *)
+          let pi =
+            List.map
+              (fun p ->
+                let slew = Prng.float rng ~lo:1e-10 ~hi:4e-10 in
+                (p, ev ~slew (Prng.float rng ~lo:0. ~hi:2e-10)))
+              (Design.primary_inputs design)
+          in
+          let ir = Sta.build_ir ~mode ~models ~thresholds:th design ~pi in
+          ignore (Sta.reanalyze ir);
+          check_paths_and_report
+            (Printf.sprintf "synthgen seed %d, %s" seed (mode_name mode))
+            ir)
+        [ 1; 2; 3; 4; 5 ])
+    [ Sta.Classic; Sta.Proximity ]
+
 let test_swap_models_equiv () =
   let d = reconvergent () in
   let th = Lazy.force thresholds in
@@ -630,6 +761,8 @@ let () =
           Alcotest.test_case "proximity 100 sequences" `Slow
             test_equivalence_proximity;
           Alcotest.test_case "swap models" `Slow test_swap_models_equiv;
+          Alcotest.test_case "cone k-worst and report match whole-design"
+            `Slow test_cone_paths_match_whole_design;
           Alcotest.test_case "synthetic memo transparent" `Slow
             test_synthetic_memo_transparent;
         ] );

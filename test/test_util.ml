@@ -7,6 +7,7 @@ module Interp = Proxim_util.Interp
 module Stats = Proxim_util.Stats
 module Histogram = Proxim_util.Histogram
 module Prng = Proxim_util.Prng
+module Json = Proxim_util.Json
 
 let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
@@ -265,6 +266,30 @@ let test_prng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 20 Fun.id) sorted
 
+(* ------------------------------------------------------------------ *)
+(* Json                                                                *)
+
+let nested depth = String.make depth '[' ^ String.make depth ']'
+
+let json_error s =
+  match Json.of_string s with Ok _ -> "accepted" | Error m -> m
+
+let test_json_nesting_bound () =
+  Alcotest.(check string) "512 levels" "accepted" (json_error (nested 512));
+  Alcotest.(check string)
+    "513 levels" "at offset 512: nesting deeper than 512"
+    (json_error (nested 513));
+  (* a frame-sized bracket bomb fails at the bound, not after a
+     recursion and an allocation per level *)
+  let bomb = String.make 1_000_000 '[' in
+  let w0 = Gc.minor_words () in
+  let msg = json_error bomb in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check string)
+    "10^6 levels" "at offset 512: nesting deeper than 512" msg;
+  if words > 1e5 then
+    Alcotest.failf "rejecting 10^6 levels allocated %.0f minor words" words
+
 let () =
   Alcotest.run "util"
     [
@@ -320,4 +345,7 @@ let () =
           Alcotest.test_case "ranges" `Quick test_prng_ranges;
           Alcotest.test_case "shuffle" `Quick test_prng_shuffle_permutes;
         ] );
+      ( "json",
+        [ Alcotest.test_case "nesting bound" `Quick test_json_nesting_bound ]
+      );
     ]
