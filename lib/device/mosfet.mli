@@ -40,16 +40,22 @@ val beta : params -> float
 (** [kp * w / l], the conventional gain factor (= [2 * k_strength]). *)
 
 type eval = {
-  id : float;  (** current into the drain terminal, A *)
-  did_dvg : float;  (** d(id)/d(Vgate), S *)
-  did_dvd : float;  (** d(id)/d(Vdrain), S *)
-  did_dvs : float;  (** d(id)/d(Vsource), S *)
+  mutable id : float;  (** current into the drain terminal, A *)
+  mutable did_dvg : float;  (** d(id)/d(Vgate), S *)
+  mutable did_dvd : float;  (** d(id)/d(Vdrain), S *)
+  mutable did_dvs : float;  (** d(id)/d(Vsource), S *)
 }
+(** Mutable so that the MNA assembly can reuse one record as a stamp
+    buffer across every device and Newton iteration. *)
+
+val eval_into : params -> vg:float -> vd:float -> vs:float -> eval -> unit
+(** [eval_into p ~vg ~vd ~vs out] evaluates the channel current and its
+    derivatives at the given absolute terminal voltages into [out],
+    allocating nothing.  The body terminal is assumed tied to the rail
+    (no body effect, as in the paper's analysis). *)
 
 val eval : params -> vg:float -> vd:float -> vs:float -> eval
-(** Evaluate the channel current and its derivatives at the given absolute
-    terminal voltages.  The body terminal is assumed tied to the rail
-    (no body effect, as in the paper's analysis). *)
+(** {!eval_into} a fresh record. *)
 
 val region : params -> vg:float -> vd:float -> vs:float -> string
 (** ["cutoff"], ["linear"] or ["saturation"] — for diagnostics and tests. *)

@@ -52,7 +52,6 @@ type run = {
   instance : Gate.instance;
   result : Transient.result;
   out_wave : Pwl.t;
-  in_waves : Pwl.t array;
 }
 
 let settle_margin = 3e-9
@@ -72,10 +71,7 @@ let simulate ?opts ?load ?t_stop gate ~inputs =
   let instance = Gate.instantiate ?load gate ~inputs in
   let result = Transient.run ?opts instance.Gate.net ~t_stop in
   let out_wave = Transient.probe result instance.Gate.out in
-  let in_waves =
-    Array.map (fun node -> Transient.probe result node) instance.Gate.input_nodes
-  in
-  { instance; result; out_wave; in_waves }
+  { instance; result; out_wave }
 
 type observation = { delay : float; out_transition : float }
 

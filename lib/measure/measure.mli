@@ -70,7 +70,6 @@ type run = {
   instance : Proxim_gates.Gate.instance;
   result : Proxim_spice.Transient.result;
   out_wave : Proxim_waveform.Pwl.t;
-  in_waves : Proxim_waveform.Pwl.t array;
 }
 
 val simulate :

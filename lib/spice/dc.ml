@@ -1,4 +1,3 @@
-module Netlist = Proxim_circuit.Netlist
 module Pwl = Proxim_waveform.Pwl
 
 type solution = {
@@ -19,36 +18,27 @@ let base_source_values sys overrides =
       | None -> Pwl.value (Mna.source_wave sys k) 0.)
     names
 
-let make_solution sys net x iterations =
-  let voltages =
-    Array.init net.Netlist.node_count (fun n -> Mna.voltage sys ~x n)
-  in
+let make_solution sys x iterations =
   let nv = Mna.node_unknowns sys in
+  let voltages = Array.init (nv + 1) (fun n -> Mna.voltage sys ~x n) in
   let branch_currents =
     Array.init (Mna.source_count sys) (fun k -> x.(nv + k))
   in
   { voltages; branch_currents; raw = Array.copy x; newton_iterations = iterations }
 
-(* Continuation ladder: plain Newton; then gmin stepping (start with a
-   heavily damped circuit and relax); then source stepping (grow the EMFs
-   from 0).  Each rung reuses the best iterate found so far. *)
-let operating_point ?(opts = Options.default) ?(overrides = []) ?seed net =
-  let sys = Mna.build net in
-  let n = Mna.size sys in
-  let source_values = base_source_values sys overrides in
-  let x =
-    match seed with
-    | Some s when Array.length s = n -> Array.copy s
-    | Some _ | None -> Array.make n 0.
-  in
+(* Continuation ladder: plain Newton from the seed in [x]; then gmin
+   stepping (start with a heavily damped circuit and relax); then source
+   stepping (grow the EMFs from 0).  Each fallback restarts [x] from zero
+   and each rung reuses the best iterate found so far. *)
+let solve ?(opts = Options.default) sys ws ~source_values ~x =
   let attempt ~gmin ~sv x =
-    Newton.solve sys ~opts ~gmin ~source_values:sv ~cap_companions:None ~x
+    Newton.solve sys ws ~opts ~gmin ~source_values:sv ~cap_companions:None ~x
   in
   match attempt ~gmin:opts.Options.gmin ~sv:source_values x with
-  | Newton.Converged k -> make_solution sys net x k
+  | Newton.Converged k -> k
   | Newton.Diverged _ ->
     (* gmin stepping *)
-    let x = Array.make n 0. in
+    Array.fill x 0 (Array.length x) 0.;
     let gmin_ladder = [ 1e-2; 1e-4; 1e-6; 1e-8; 1e-10; opts.Options.gmin ] in
     let gmin_ok =
       List.for_all
@@ -60,11 +50,11 @@ let operating_point ?(opts = Options.default) ?(overrides = []) ?seed net =
     in
     if gmin_ok then
       match attempt ~gmin:opts.Options.gmin ~sv:source_values x with
-      | Newton.Converged k -> make_solution sys net x k
+      | Newton.Converged k -> k
       | Newton.Diverged msg -> raise (No_convergence msg)
     else begin
       (* source stepping *)
-      let x = Array.make n 0. in
+      Array.fill x 0 (Array.length x) 0.;
       let steps = 20 in
       let ok = ref true in
       for s = 1 to steps do
@@ -78,10 +68,25 @@ let operating_point ?(opts = Options.default) ?(overrides = []) ?seed net =
       done;
       if !ok then
         match attempt ~gmin:opts.Options.gmin ~sv:source_values x with
-        | Newton.Converged k -> make_solution sys net x k
+        | Newton.Converged k -> k
         | Newton.Diverged msg -> raise (No_convergence msg)
       else raise (No_convergence "dc: all continuation strategies failed")
     end
+
+let solve_seeded ~opts sys ws ~overrides ~seed =
+  let n = Mna.size sys in
+  let x =
+    match seed with
+    | Some s when Array.length s = n -> Array.copy s
+    | Some _ | None -> Array.make n 0.
+  in
+  let source_values = base_source_values sys overrides in
+  let k = solve ~opts sys ws ~source_values ~x in
+  make_solution sys x k
+
+let operating_point ?(opts = Options.default) ?(overrides = []) ?seed net =
+  let sys = Mna.build net in
+  solve_seeded ~opts sys (Newton.workspace sys) ~overrides ~seed
 
 let sweep_many ?(opts = Options.default) ?(overrides = []) net ~sources ~values
     =
@@ -92,20 +97,15 @@ let sweep_many ?(opts = Options.default) ?(overrides = []) net ~sources ~values
       if not (List.mem s known) then
         invalid_arg ("Dc.sweep: unknown source " ^ s))
     sources;
-  let n = Array.length values in
-  let results = Array.make n None in
+  let ws = Newton.workspace sys in
   let seed = ref None in
-  for i = 0 to n - 1 do
-    let overrides =
-      List.map (fun s -> (s, values.(i))) sources @ overrides
-    in
-    let sol = operating_point ~opts ~overrides ?seed:!seed net in
-    seed := Some sol.raw;
-    results.(i) <- Some sol
-  done;
   Array.map
-    (function Some s -> s | None -> raise (No_convergence "dc sweep"))
-    results
+    (fun v ->
+      let overrides = List.map (fun s -> (s, v)) sources @ overrides in
+      let sol = solve_seeded ~opts sys ws ~overrides ~seed:!seed in
+      seed := Some sol.raw;
+      sol)
+    values
 
 let sweep ?opts ?overrides net ~source ~values =
   sweep_many ?opts ?overrides net ~sources:[ source ] ~values

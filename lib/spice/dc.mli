@@ -12,6 +12,20 @@ type solution = {
 exception No_convergence of string
 (** Raised when every continuation strategy fails. *)
 
+val solve :
+  ?opts:Options.t ->
+  Mna.t ->
+  Newton.workspace ->
+  source_values:float array ->
+  x:float array ->
+  int
+(** The continuation ladder behind every DC analysis, on a built system:
+    solve the operating point for the EMFs [source_values] (branch
+    order), seeding plain Newton with [x] and leaving the solution in
+    [x].  Falls back to gmin stepping and then source stepping, each
+    restarting [x] from zero.  Returns the Newton iterations of the
+    final solve; raises {!No_convergence} when every strategy fails. *)
+
 val operating_point :
   ?opts:Options.t ->
   ?overrides:(string * float) list ->

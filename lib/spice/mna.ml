@@ -20,7 +20,10 @@ type t = {
   resistors : res_info array;
   caps : cap_info array;
   vsrcs : vsrc_info array;
+  stamp : Mosfet.eval;  (** reused by every MOSFET evaluation *)
 }
+
+type companions = { geq : float array; ieq : float array }
 
 let build net =
   let mosfets = ref [] and resistors = ref [] in
@@ -43,6 +46,7 @@ let build net =
     resistors = Array.of_list (List.rev !resistors);
     caps = Array.of_list (List.rev !caps);
     vsrcs = Array.of_list (List.rev !vsrcs);
+    stamp = { Mosfet.id = 0.; did_dvg = 0.; did_dvd = 0.; did_dvs = 0. };
   }
 
 let node_unknowns t = t.n_nodes
@@ -51,12 +55,35 @@ let size t = t.n_nodes + source_count t
 let source_names t = Array.map (fun v -> v.vname) t.vsrcs
 let source_wave t i = t.vsrcs.(i).wave
 let cap_count t = Array.length t.caps
+let cap_farads t i = t.caps.(i).farads
 
-let voltage _t ~x n = if n = 0 then 0. else x.(n - 1)
+let[@inline] volt x n = if n = 0 then 0. else x.(n - 1)
+
+let voltage _t ~x n = volt x n
 
 let cap_voltage t ~x i =
   let c = t.caps.(i) in
-  voltage t ~x c.ca -. voltage t ~x c.cb
+  volt x c.ca -. volt x c.cb
+
+(* The stamps are closed top-level helpers, inlined, so that no float is
+   boxed and no closure is built per assembly. *)
+
+(* add [g] between the KCL row of [node] and the column of [col] *)
+let[@inline] add_j jac node col g =
+  if node > 0 && col > 0 then
+    jac.(node - 1).(col - 1) <- jac.(node - 1).(col - 1) +. g
+
+let[@inline] add_r res node i =
+  if node > 0 then res.(node - 1) <- res.(node - 1) +. i
+
+(* a conductance [g] carrying current [i] from [a] to [b] *)
+let[@inline] stamp_branch jac res a b ~i ~g =
+  add_r res a i;
+  add_r res b (-.i);
+  add_j jac a a g;
+  add_j jac a b (-.g);
+  add_j jac b b g;
+  add_j jac b a (-.g)
 
 let assemble t ~x ~gmin ~source_values ~cap_companions ~jac ~res =
   let n = size t in
@@ -64,78 +91,56 @@ let assemble t ~x ~gmin ~source_values ~cap_companions ~jac ~res =
     res.(i) <- 0.;
     Array.fill jac.(i) 0 n 0.
   done;
-  let v node = voltage t ~x node in
-  (* add [g] between the KCL row of [node] and the column of [col] *)
-  let add_j node col g =
-    if node > 0 && col > 0 then
-      jac.(node - 1).(col - 1) <- jac.(node - 1).(col - 1) +. g
-  in
-  let add_r node i = if node > 0 then res.(node - 1) <- res.(node - 1) +. i in
   (* gmin from every node to ground *)
   for node = 1 to t.n_nodes do
-    add_r node (gmin *. x.(node - 1));
-    add_j node node gmin
+    add_r res node (gmin *. x.(node - 1));
+    add_j jac node node gmin
   done;
   (* resistors *)
-  Array.iter
-    (fun { ra; rb; conductance = g } ->
-      let i = g *. (v ra -. v rb) in
-      add_r ra i;
-      add_r rb (-.i);
-      add_j ra ra g;
-      add_j ra rb (-.g);
-      add_j rb rb g;
-      add_j rb ra (-.g))
-    t.resistors;
+  for k = 0 to Array.length t.resistors - 1 do
+    let { ra; rb; conductance = g } = t.resistors.(k) in
+    stamp_branch jac res ra rb ~i:(g *. (volt x ra -. volt x rb)) ~g
+  done;
   (* capacitors through their companion models *)
   (match cap_companions with
    | None -> ()
-   | Some comps ->
-     Array.iteri
-       (fun k { ca; cb; _ } ->
-         let geq, ieq = comps.(k) in
-         let i = (geq *. (v ca -. v cb)) -. ieq in
-         add_r ca i;
-         add_r cb (-.i);
-         add_j ca ca geq;
-         add_j ca cb (-.geq);
-         add_j cb cb geq;
-         add_j cb ca (-.geq))
-       t.caps);
+   | Some { geq; ieq } ->
+     for k = 0 to Array.length t.caps - 1 do
+       let { ca; cb; _ } = t.caps.(k) in
+       let g = geq.(k) in
+       stamp_branch jac res ca cb
+         ~i:((g *. (volt x ca -. volt x cb)) -. ieq.(k))
+         ~g
+     done);
   (* MOSFETs (with a gmin drain-source shunt: keeps internal stack nodes
      weakly tied when the whole channel is cut off, which conditions the
      Newton iteration) *)
-  Array.iter
-    (fun { params; mg; md; ms } ->
-      let ish = gmin *. (v md -. v ms) in
-      add_r md ish;
-      add_r ms (-.ish);
-      add_j md md gmin;
-      add_j md ms (-.gmin);
-      add_j ms ms gmin;
-      add_j ms md (-.gmin);
-      let e = Mosfet.eval params ~vg:(v mg) ~vd:(v md) ~vs:(v ms) in
-      (* [e.id] flows into the drain terminal: it leaves node [md] through
-         the channel and re-enters the circuit at node [ms] *)
-      add_r md e.Mosfet.id;
-      add_r ms (-.e.Mosfet.id);
-      add_j md mg e.Mosfet.did_dvg;
-      add_j md md e.Mosfet.did_dvd;
-      add_j md ms e.Mosfet.did_dvs;
-      add_j ms mg (-.e.Mosfet.did_dvg);
-      add_j ms md (-.e.Mosfet.did_dvd);
-      add_j ms ms (-.e.Mosfet.did_dvs))
-    t.mosfets;
+  let e = t.stamp in
+  for k = 0 to Array.length t.mosfets - 1 do
+    let { params; mg; md; ms } = t.mosfets.(k) in
+    stamp_branch jac res md ms ~i:(gmin *. (volt x md -. volt x ms)) ~g:gmin;
+    Mosfet.eval_into params ~vg:(volt x mg) ~vd:(volt x md) ~vs:(volt x ms) e;
+    (* [e.id] flows into the drain terminal: it leaves node [md] through
+       the channel and re-enters the circuit at node [ms] *)
+    add_r res md e.Mosfet.id;
+    add_r res ms (-.e.Mosfet.id);
+    add_j jac md mg e.Mosfet.did_dvg;
+    add_j jac md md e.Mosfet.did_dvd;
+    add_j jac md ms e.Mosfet.did_dvs;
+    add_j jac ms mg (-.e.Mosfet.did_dvg);
+    add_j jac ms md (-.e.Mosfet.did_dvd);
+    add_j jac ms ms (-.e.Mosfet.did_dvs)
+  done;
   (* voltage sources: KCL coupling plus the branch (EMF) equations *)
-  Array.iteri
-    (fun k { pos; neg; _ } ->
-      let row = t.n_nodes + k in
-      let ib = x.(row) in
-      add_r pos ib;
-      add_r neg (-.ib);
-      if pos > 0 then jac.(pos - 1).(row) <- jac.(pos - 1).(row) +. 1.;
-      if neg > 0 then jac.(neg - 1).(row) <- jac.(neg - 1).(row) -. 1.;
-      res.(row) <- v pos -. v neg -. source_values.(k);
-      if pos > 0 then jac.(row).(pos - 1) <- jac.(row).(pos - 1) +. 1.;
-      if neg > 0 then jac.(row).(neg - 1) <- jac.(row).(neg - 1) -. 1.)
-    t.vsrcs
+  for k = 0 to Array.length t.vsrcs - 1 do
+    let { pos; neg; _ } = t.vsrcs.(k) in
+    let row = t.n_nodes + k in
+    let ib = x.(row) in
+    add_r res pos ib;
+    add_r res neg (-.ib);
+    if pos > 0 then jac.(pos - 1).(row) <- jac.(pos - 1).(row) +. 1.;
+    if neg > 0 then jac.(neg - 1).(row) <- jac.(neg - 1).(row) -. 1.;
+    res.(row) <- volt x pos -. volt x neg -. source_values.(k);
+    if pos > 0 then jac.(row).(pos - 1) <- jac.(row).(pos - 1) +. 1.;
+    if neg > 0 then jac.(row).(neg - 1) <- jac.(row).(neg - 1) -. 1.
+  done

@@ -32,50 +32,55 @@ let breakpoints sys ~t_stop ~overridden =
     arr;
   Array.of_list (List.rev !out)
 
+(* The accepted trajectory: one row [t; v_1; ...; v_nv] per sample,
+   appended in place to one flat, growable float buffer, so that an
+   accepted step allocates nothing. *)
+type trajectory = { mutable rows : float array; mutable len : int }
+
+let record tr ~t ~x ~nv =
+  let stride = nv + 1 in
+  if tr.len + stride > Array.length tr.rows then begin
+    let rows = Array.make (2 * (tr.len + stride)) 0. in
+    Array.blit tr.rows 0 rows 0 tr.len;
+    tr.rows <- rows
+  end;
+  tr.rows.(tr.len) <- t;
+  Array.blit x 0 tr.rows (tr.len + 1) nv;
+  tr.len <- tr.len + stride
+
 let run ?(opts = Options.default) ?(overrides = []) net ~t_stop =
   assert (t_stop > 0.);
   let sys = Mna.build net in
-  let n = Mna.size sys in
-  let names = Mna.source_names sys in
+  let n = Mna.size sys and nv = Mna.node_unknowns sys in
   let override_value =
-    Array.map (fun name -> List.assoc_opt name overrides) names
+    Array.map (fun name -> List.assoc_opt name overrides) (Mna.source_names sys)
   in
-  let source_values_at t =
-    Array.mapi
-      (fun k ov ->
-        match ov with
-        | Some v -> v
-        | None -> Pwl.value (Mna.source_wave sys k) t)
-      override_value
+  let sv = Array.make (Mna.source_count sys) 0. in
+  let set_source_values t =
+    for k = 0 to Array.length sv - 1 do
+      sv.(k) <-
+        (match override_value.(k) with
+         | Some v -> v
+         | None -> Pwl.value (Mna.source_wave sys k) t)
+    done
   in
+  let ws = Newton.workspace sys in
   (* initial condition: DC at t = 0 *)
-  let dc_overrides =
-    Array.to_list
-      (Array.mapi (fun k name -> (name, (source_values_at 0.).(k))) names)
-  in
-  let op = Dc.operating_point ~opts ~overrides:dc_overrides net in
-  let x = Array.copy op.Dc.raw in
-  assert (Array.length x = n);
+  set_source_values 0.;
+  let x = Array.make n 0. in
+  ignore (Dc.solve ~opts sys ws ~source_values:sv ~x : int);
   let n_caps = Mna.cap_count sys in
+  let cap_farads = Array.init n_caps (Mna.cap_farads sys) in
   let cap_i = Array.make n_caps 0. in
   (* trapezoidal needs the capacitor current at the old time point; at the
      DC point it is zero by definition *)
   let cap_v = Array.init n_caps (fun k -> Mna.cap_voltage sys ~x k) in
-  let cap_farads =
-    (* recover C from companion construction: stash from the netlist *)
-    let farads = ref [] in
-    Array.iter
-      (fun d ->
-        match d with
-        | Netlist.Capacitor { farads = f; _ } -> farads := f :: !farads
-        | Netlist.Mosfet _ | Netlist.Resistor _ | Netlist.Vsource _ -> ())
-      net.Netlist.devices;
-    Array.of_list (List.rev !farads)
-  in
-  assert (Array.length cap_farads = n_caps);
+  let geq = Array.make n_caps 0. and ieq = Array.make n_caps 0. in
+  let companions = Some { Mna.geq; ieq } in
+  let x_try = Array.make n 0. in
   let bps = breakpoints sys ~t_stop ~overridden:(Array.map Option.is_some override_value) in
-  let times_acc = ref [ 0. ] in
-  let states_acc = ref [ Array.copy x ] in
+  let tr = { rows = Array.make (256 * (nv + 1)) 0.; len = 0 } in
+  record tr ~t:0. ~x ~nv;
   let accepted = ref 0 and rejected = ref 0 and newton_total = ref 0 in
   let t = ref 0. in
   let h = ref (Float.min opts.Options.h_max (t_stop /. 1000.)) in
@@ -94,28 +99,29 @@ let run ?(opts = Options.default) ?(overrides = []) net ~t_stop =
     let use_trap =
       (not !force_be) && opts.Options.integration = Options.Trapezoidal
     in
-    let companions =
-      Array.init n_caps (fun k ->
-        let c = cap_farads.(k) in
-        if use_trap then begin
-          let geq = 2. *. c /. h_try in
-          (geq, (geq *. cap_v.(k)) +. cap_i.(k))
-        end
-        else begin
-          let geq = c /. h_try in
-          (geq, geq *. cap_v.(k))
-        end)
-    in
+    for k = 0 to n_caps - 1 do
+      let c = cap_farads.(k) in
+      if use_trap then begin
+        let g = 2. *. c /. h_try in
+        geq.(k) <- g;
+        ieq.(k) <- (g *. cap_v.(k)) +. cap_i.(k)
+      end
+      else begin
+        let g = c /. h_try in
+        geq.(k) <- g;
+        ieq.(k) <- g *. cap_v.(k)
+      end
+    done;
     let t_new = !t +. h_try in
-    let sv = source_values_at t_new in
-    let x_try = Array.copy x in
+    set_source_values t_new;
+    Array.blit x 0 x_try 0 n;
     let outcome =
-      Newton.solve sys ~opts ~gmin:opts.Options.gmin ~source_values:sv
-        ~cap_companions:(Some companions) ~x:x_try
+      Newton.solve sys ws ~opts ~gmin:opts.Options.gmin ~source_values:sv
+        ~cap_companions:companions ~x:x_try
     in
     let max_dv =
       let m = ref 0. in
-      for i = 0 to Mna.node_unknowns sys - 1 do
+      for i = 0 to nv - 1 do
         m := Float.max !m (Float.abs (x_try.(i) -. x.(i)))
       done;
       !m
@@ -126,29 +132,20 @@ let run ?(opts = Options.default) ?(overrides = []) net ~t_stop =
         max_dv <= opts.Options.dv_step_target || h_try <= opts.Options.h_min *. 1.01
       | Newton.Diverged _ -> false
     in
-    (if Sys.getenv_opt "PROXIM_TRANDEBUG" <> None then
-       let oc = match outcome with
-         | Newton.Converged k -> Printf.sprintf "conv %d" k
-         | Newton.Diverged m -> "div " ^ m
-       in
-       Printf.eprintf "t=%.5e h=%.3e be=%b dv=%.3e %s\n%!" !t h_try !force_be
-         max_dv oc);
     if step_ok then begin
       (match outcome with
        | Newton.Converged k -> newton_total := !newton_total + k
        | Newton.Diverged _ -> ());
       (* update capacitor companion state *)
-      Array.iteri
-        (fun k (geq, ieq) ->
-          let v_new = Mna.cap_voltage sys ~x:x_try k in
-          cap_i.(k) <- (geq *. v_new) -. ieq;
-          cap_v.(k) <- v_new)
-        companions;
+      for k = 0 to n_caps - 1 do
+        let v_new = Mna.cap_voltage sys ~x:x_try k in
+        cap_i.(k) <- (geq.(k) *. v_new) -. ieq.(k);
+        cap_v.(k) <- v_new
+      done;
       Array.blit x_try 0 x 0 n;
       t := t_new;
       incr accepted;
-      times_acc := !t :: !times_acc;
-      states_acc := Array.copy x :: !states_acc;
+      record tr ~t:t_new ~x ~nv;
       force_be := Float.abs (t_new -. next_bp) < 1e-18 && t_new < t_stop;
       (* grow the step when the solution barely moved *)
       if max_dv < 0.3 *. opts.Options.dv_step_target then
@@ -172,15 +169,22 @@ let run ?(opts = Options.default) ?(overrides = []) net ~t_stop =
       h := Float.max opts.Options.h_min (h_try *. 0.4)
     end
   done;
-  let times = Array.of_list (List.rev !times_acc) in
-  let states = Array.of_list (List.rev !states_acc) in
-  let node_voltages =
-    Array.init net.Netlist.node_count (fun node ->
-      Array.map (fun st -> Mna.voltage sys ~x:st node) states)
+  (* column 0 of the trajectory is time, column [node] that node's
+     voltage; ground's waveform stays all zero *)
+  let stride = nv + 1 in
+  let samples = tr.len / stride in
+  let column c =
+    let col = Array.make samples 0. in
+    for s = 0 to samples - 1 do
+      col.(s) <- tr.rows.((s * stride) + c)
+    done;
+    col
   in
   {
-    times;
-    node_voltages;
+    times = column 0;
+    node_voltages =
+      Array.init (nv + 1) (fun node ->
+        if node = 0 then Array.make samples 0. else column node);
     accepted_steps = !accepted;
     rejected_steps = !rejected;
     newton_iterations = !newton_total;

@@ -22,7 +22,12 @@ let mat_vec a x =
   done;
   y
 
-let norm_inf v = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0. v
+let norm_inf v =
+  let m = ref 0. in
+  for i = 0 to Array.length v - 1 do
+    m := Float.max !m (Float.abs v.(i))
+  done;
+  !m
 
 let residual_norm a x b =
   let ax = mat_vec a x in
@@ -33,11 +38,14 @@ let residual_norm a x b =
   done;
   !m
 
-(* Classic LU with partial pivoting, factorizing [a] in place; [perm]
-   records row exchanges. *)
-let lu_factor_in_place a =
+(* Classic LU with partial pivoting: factorizes [a] in place, recording
+   row exchanges in [perm], then solves into [scratch] and copies the
+   solution over [b].  Allocates nothing. *)
+let solve_in_place a b ~perm ~scratch =
   let n = Array.length a in
-  let perm = Array.init n (fun i -> i) in
+  for i = 0 to n - 1 do
+    perm.(i) <- i
+  done;
   for k = 0 to n - 1 do
     (* pivot search *)
     let pivot_row = ref k in
@@ -68,11 +76,7 @@ let lu_factor_in_place a =
         done
     done
   done;
-  perm
-
-let lu_back_substitute a perm b =
-  let n = Array.length a in
-  let x = Array.make n 0. in
+  let x = scratch in
   (* forward: Ly = Pb *)
   for i = 0 to n - 1 do
     let acc = ref b.(perm.(i)) in
@@ -89,14 +93,11 @@ let lu_back_substitute a perm b =
     done;
     x.(i) <- !acc /. a.(i).(i)
   done;
-  x
+  Array.blit x 0 b 0 n
 
 let lu_solve a b =
-  let a = copy_mat a in
-  let perm = lu_factor_in_place a in
-  lu_back_substitute a perm b
-
-let solve_in_place a b =
-  let perm = lu_factor_in_place a in
-  let x = lu_back_substitute a perm b in
-  Array.blit x 0 b 0 (Array.length b)
+  let n = Array.length b in
+  let x = Array.copy b in
+  solve_in_place (copy_mat a) x ~perm:(Array.make n 0)
+    ~scratch:(Array.make n 0.);
+  x

@@ -3,8 +3,8 @@
     Circuits in this project have at most a dozen unknowns, so a dense
     LU factorization with partial pivoting is both the simplest and the
     fastest adequate tool.  Matrices are ordinary [float array array] in
-    row-major order; all functions are safe to call repeatedly inside the
-    Newton loop (factorizations allocate their own workspace). *)
+    row-major order.  {!solve_in_place} works in caller-owned buffers, so
+    a Newton loop that keeps its workspace allocates nothing per solve. *)
 
 type mat = float array array
 type vec = float array
@@ -32,10 +32,12 @@ val lu_solve : mat -> vec -> vec
     [a] and [b] are not modified.  Raises {!Singular} when a pivot falls
     below a tiny absolute threshold. *)
 
-val solve_in_place : mat -> vec -> unit
-(** [solve_in_place a b] factorizes [a] and overwrites [b] with the
-    solution, destroying [a].  The no-copy variant used in inner loops.
-    Raises {!Singular} as {!lu_solve}. *)
+val solve_in_place : mat -> vec -> perm:int array -> scratch:vec -> unit
+(** [solve_in_place a b ~perm ~scratch] factorizes [a] in place (its rows
+    are exchanged by pivoting) and overwrites [b] with the solution.
+    [perm] and [scratch] are workspace of length [Array.length b]; their
+    contents on entry are ignored.  The allocation-free solver behind
+    {!lu_solve}.  Raises {!Singular} as {!lu_solve}. *)
 
 val norm_inf : vec -> float
 (** Maximum absolute entry. *)

@@ -166,6 +166,114 @@ let test_multi_input_validation () =
              ]
            ~ref_pin:0))
 
+(* ------------------------------------------------------------------ *)
+(* Golden-kernel pins                                                   *)
+
+(* Fixed thresholds keep these pins independent of the VTC sweeps. *)
+let pin_th = { Vtc.vil = 1.5; vih = 3.4; vdd = 5. }
+
+let pin_gate = function
+  | "inv" -> Gate.inverter tech
+  | "nand2" -> Gate.nand tech ~fan_in:2
+  | "nor2" -> Gate.nor tech ~fan_in:2
+  | "nand3" -> nand3
+  | "aoi21" -> Gate.aoi21 tech
+  | "inv-alpha" -> Gate.inverter Tech.generic_5v_alpha
+  | name -> invalid_arg name
+
+(* (gate, edge, input slew, delay, output transition) of
+   [Measure.single_input] on pin 0, as [%h].  Captured from the simulator
+   before its inner loop was made allocation-free: that rewrite had to
+   keep every floating-point operation and its order, so any drift in
+   the device model, the assembly, the LU or the step control shows
+   here as a changed bit. *)
+let single_pins =
+  Measure.
+    [
+      ("inv", Rise, 100e-12, "0x1.343672bc944acp-34", "0x1.96956e157648p-35");
+      ("inv", Rise, 400e-12, "0x1.6499a0497be88p-33", "0x1.382bffbe38fdp-34");
+      ("inv", Rise, 1500e-12, "0x1.a81ae2e26dfc8p-32", "0x1.4bd5c0ee3036p-33");
+      ("inv", Fall, 100e-12, "0x1.6a33c6e9b3a2p-34", "0x1.3163347dba17p-34");
+      ("inv", Fall, 400e-12, "0x1.a4fbb2604ea94p-33", "0x1.72e5073806118p-34");
+      ("inv", Fall, 1500e-12, "0x1.0e1afd05cb55cp-31", "0x1.67942edc08a8p-33");
+      ("nand2", Rise, 100e-12, "0x1.c6a70ad943e4p-34", "0x1.df6b82f137848p-34");
+      ("nand2", Rise, 400e-12, "0x1.ca2f3f00e026p-33", "0x1.fe3bff5e31a7p-34");
+      ("nand2", Rise, 1500e-12, "0x1.0a16edaa7d85cp-31", "0x1.ad5ef22b31f2p-33");
+      ("nand2", Fall, 100e-12, "0x1.7bf9be4221ae8p-34", "0x1.50714a3b4fb84p-34");
+      ("nand2", Fall, 400e-12, "0x1.adda4afa13054p-33", "0x1.8c274822b9128p-34");
+      ("nand2", Fall, 1500e-12, "0x1.059db190e5dp-31", "0x1.8bcd0e15648dp-33");
+      ("nor2", Rise, 100e-12, "0x1.49028752884a4p-34", "0x1.ef82a9ce3565p-35");
+      ("nor2", Rise, 400e-12, "0x1.78fbe108dc74p-33", "0x1.5c121b5c56c18p-34");
+      ("nor2", Rise, 1500e-12, "0x1.a7fe0e89572cp-32", "0x1.7f411940bd5ap-33");
+      ("nor2", Fall, 100e-12, "0x1.497ce53013e96p-33", "0x1.5caa122fee90ep-33");
+      ("nor2", Fall, 400e-12, "0x1.0a9f777210632p-32", "0x1.6014a16668cacp-33");
+      ("nor2", Fall, 1500e-12, "0x1.28b429b84a1acp-31", "0x1.eede3a4951ffp-33");
+      ("nand3", Rise, 100e-12, "0x1.3a2e86fa77132p-33", "0x1.9680c995a3f16p-33");
+      ("nand3", Rise, 400e-12, "0x1.135421139dff8p-32", "0x1.9662ea933612p-33");
+      ("nand3", Rise, 1500e-12, "0x1.388cd9018aa88p-31", "0x1.0e36ec434b62p-32");
+      ("nand3", Fall, 100e-12, "0x1.8e2ea06d3bdp-34", "0x1.6f80047f670cp-34");
+      ("nand3", Fall, 400e-12, "0x1.b90284d09e3fp-33", "0x1.a4092d855584p-34");
+      ("nand3", Fall, 1500e-12, "0x1.029edb357ca74p-31", "0x1.a6dc829dc7a7p-33");
+      ("aoi21", Rise, 100e-12, "0x1.f055bdc12c48p-34", "0x1.1e401dce723b8p-33");
+      ("aoi21", Rise, 400e-12, "0x1.e280256abe914p-33", "0x1.25cb45316a1a4p-33");
+      ("aoi21", Rise, 1500e-12, "0x1.0ae2dfbcbf88cp-31", "0x1.ed320f48a32cp-33");
+      ("aoi21", Fall, 100e-12, "0x1.5fc6b9f3c8a66p-33", "0x1.61107beb951eap-33");
+      ("aoi21", Fall, 400e-12, "0x1.17838f954b25ap-32", "0x1.63b137856b7a4p-33");
+      ("aoi21", Fall, 1500e-12, "0x1.22b303518ac1cp-31", "0x1.fe49b0cabdadp-33");
+      ("inv-alpha", Rise, 100e-12, "0x1.ee85322d684a8p-34", "0x1.1a2c8664506acp-33");
+      ("inv-alpha", Rise, 400e-12, "0x1.cd6d0efcd76e8p-33", "0x1.28d592f759d3p-33");
+      ("inv-alpha", Rise, 1500e-12, "0x1.e0ee7bc40bbdp-32", "0x1.04473f4ae4b78p-32");
+      ("inv-alpha", Fall, 100e-12, "0x1.429b0f18db9bap-33", "0x1.a0f5784fe7adap-33");
+      ("inv-alpha", Fall, 400e-12, "0x1.19550f68d16cap-32", "0x1.a1d4b8fbb512cp-33");
+      ("inv-alpha", Fall, 1500e-12, "0x1.49ce2c9883f78p-31", "0x1.1c73b1c53f8f8p-32");
+    ]
+
+(* (gate, edge, separation, delay, output transition) of [Dual.oracle]
+   with pin 0 dominant (300 ps) and pin 1 switching (500 ps). *)
+let dual_pins =
+  Measure.
+    [
+      ("nand2", Rise, -150e-12, "0x1.95448bf70a1d8p-33", "0x1.e4a35b1fd77ep-34");
+      ("nand2", Rise, 0., "0x1.efce09afc1458p-33", "0x1.0cc48b69dbcf8p-33");
+      ("nand2", Rise, 200e-12, "0x1.c32e0f77a99cap-32", "0x1.1500fa962f9a8p-33");
+      ("nand2", Fall, -150e-12, "0x1.1a8fc3996134p-34", "0x1.361b41c46594p-34");
+      ("nand2", Fall, 0., "0x1.26b40708c7ef8p-33", "0x1.1c104fd108c6p-34");
+      ("nand2", Fall, 200e-12, "0x1.660d825894cf4p-33", "0x1.55d9116fa6cbp-34");
+      ("nor2", Rise, -150e-12, "0x1.01aefb2d295p-35", "0x1.16cd735d5573p-34");
+      ("nor2", Rise, 0., "0x1.ec072b0d5af7p-34", "0x1.d6dbc3642d1p-35");
+      ("nor2", Rise, 200e-12, "0x1.3b656c5f91dfcp-33", "0x1.178fb3113202p-34");
+      ("nor2", Fall, -150e-12, "0x1.dadba5fd5f748p-33", "0x1.5cbdf2fd9198p-33");
+      ("nor2", Fall, 0., "0x1.423bd9f1ca0e8p-32", "0x1.5f9d7247d292p-33");
+      ("nor2", Fall, 200e-12, "0x1.06a8ce74ff139p-31", "0x1.6379b9575a5p-33");
+    ]
+
+let check_bits ctx (obs : Measure.observation) delay trans =
+  Alcotest.(check string) (ctx ^ " delay") delay
+    (Printf.sprintf "%h" obs.Measure.delay);
+  Alcotest.(check string) (ctx ^ " transition") trans
+    (Printf.sprintf "%h" obs.Measure.out_transition)
+
+let edge_name = function Measure.Rise -> "rise" | Measure.Fall -> "fall"
+
+let test_single_input_bits () =
+  List.iter
+    (fun (name, edge, tau, delay, trans) ->
+      let obs = Measure.single_input (pin_gate name) pin_th ~pin:0 ~edge ~tau in
+      check_bits (Printf.sprintf "%s %s %g" name (edge_name edge) tau) obs
+        delay trans)
+    single_pins
+
+let test_dual_oracle_bits () =
+  List.iter
+    (fun (name, edge, sep, delay, trans) ->
+      let obs =
+        Proxim_macromodel.Dual.oracle (pin_gate name) pin_th ~dom:0 ~other:1
+          ~edge ~tau_dom:300e-12 ~tau_other:500e-12 ~sep
+      in
+      check_bits (Printf.sprintf "%s %s sep %g" name (edge_name edge) sep) obs
+        delay trans)
+    dual_pins
+
 let () =
   Alcotest.run "measure"
     [
@@ -194,5 +302,10 @@ let () =
           Alcotest.test_case "rising pair slows down" `Quick
             test_proximity_slows_down_rising_pair;
           Alcotest.test_case "validation" `Quick test_multi_input_validation;
+        ] );
+      ( "golden kernel",
+        [
+          Alcotest.test_case "single-input bits" `Quick test_single_input_bits;
+          Alcotest.test_case "dual oracle bits" `Quick test_dual_oracle_bits;
         ] );
     ]

@@ -142,7 +142,7 @@ let test_jacobian_fd () =
   let x = [| 2.1; 5.0; 2.5; -1e-4; 0. |] in
   Alcotest.(check int) "size" (Array.length x) n;
   let sv = [| 5.0; 2.5 |] in
-  let comps = Some [| (0.01, 0.003) |] in
+  let comps = Some { Mna.geq = [| 0.01 |]; ieq = [| 0.003 |] } in
   let jac = Linalg.make_mat n in
   let res = Array.make n 0. in
   Mna.assemble sys ~x ~gmin:1e-12 ~source_values:sv ~cap_companions:comps ~jac
@@ -260,6 +260,47 @@ let test_probe_named () =
   Alcotest.check_raises "unknown node" Not_found (fun () ->
     ignore (Transient.probe_named net result "bogus"))
 
+(* ------------------------------------------------------------------ *)
+(* Kernel pins: step control and allocation                            *)
+
+module Gate = Proxim_gates.Gate
+
+(* A NAND2 whose pin a rises (300 ps, crossing 1.5 V at 0.5 ns) while
+   pin b holds the rail. *)
+let nand2_transient () =
+  let gate = Gate.nand Proxim_gates.Tech.generic_5v ~fan_in:2 in
+  let rise = Pwl.ramp ~t0:0.41e-9 ~width:300e-12 ~v_from:0. ~v_to:5. in
+  let inst = Gate.instantiate gate ~inputs:[| rise; Pwl.constant 5. |] in
+  (inst, fun () -> Transient.run inst.Gate.net ~t_stop:3e-9)
+
+(* Step and Newton counts, and the last output sample's bits, captured
+   before the inner loop was made allocation-free (which had to keep
+   every floating-point operation and its order). *)
+let test_nand2_step_counts () =
+  let inst, run = nand2_transient () in
+  let r = run () in
+  Alcotest.(check int) "accepted" 536 r.Transient.accepted_steps;
+  Alcotest.(check int) "rejected" 3 r.Transient.rejected_steps;
+  Alcotest.(check int) "newton" 1429 r.Transient.newton_iterations;
+  let samples = Array.length r.Transient.times in
+  Alcotest.(check int) "samples" 537 samples;
+  Alcotest.(check string) "last output" "0x1.2591746d070e9p-27"
+    (Printf.sprintf "%h" r.Transient.node_voltages.(inst.Gate.out).(samples - 1))
+
+(* The inner loop reuses its workspace: what a transient allocates is
+   its result plus a bounded per-step overhead, not a Jacobian, a
+   companion array and a state copy per Newton iteration. *)
+let test_nand2_allocation () =
+  let _, run = nand2_transient () in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let r = run () in
+  let words = Gc.minor_words () -. before in
+  let per_step = words /. float_of_int r.Transient.accepted_steps in
+  if per_step > 300. then
+    Alcotest.failf "NAND2 transient allocated %.0f minor words per step"
+      per_step
+
 let () =
   Alcotest.run "spice"
     [
@@ -291,5 +332,10 @@ let () =
           Alcotest.test_case "breakpoints" `Quick test_transient_hits_breakpoints;
           Alcotest.test_case "override" `Quick test_transient_override_pins_source;
           Alcotest.test_case "probe by name" `Quick test_probe_named;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "nand2 step counts" `Quick test_nand2_step_counts;
+          Alcotest.test_case "nand2 allocation" `Quick test_nand2_allocation;
         ] );
     ]
