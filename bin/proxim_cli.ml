@@ -634,16 +634,15 @@ let run_convert input output fmt =
    build, forced up front so its cost lands in one bucket) -> build_ir ->
    analyze (the section-4 fold) -> report.  Prints the per-phase
    time/alloc breakdown from the trace aggregation. *)
-let run_profile file pi_specs mode models_kind =
+let run_profile file pi_specs pi_all_spec mode models_kind =
   Obs_metrics.install_util_sources ();
   Obs_trace.clear ();
   Obs_trace.enable ();
   let wall0 = Unix.gettimeofday () in
   with_design file @@ fun name design file_th ->
-    match parse_all parse_pi_spec [] pi_specs with
-    | Error (`Msg m) -> usage_error m
-    | Ok [] -> usage_error "proxim profile: need at least one --pi event"
-    | Ok pi ->
+    with_stimulus ~cmd:"profile" pi_specs pi_all_spec []
+    @@ fun named_pi pi_all _ecos ->
+      let pi = Sta.with_pi_all design named_pi pi_all in
       let th =
         phase "thresholds" (fun () ->
             Netlist_file.thresholds Tech.generic_5v design file_th)
@@ -1569,8 +1568,9 @@ let profile_cmd =
          "Per-phase time and allocation breakdown of an STA run (parse, \
           thresholds, characterize, build, analyze, report)")
     Term.(
-      const (fun () obs f p m mk -> finish_obs obs (run_profile f p m mk))
-      $ domains_setup $ obs_setup $ file_arg $ pi_arg
+      const (fun () obs f p pa m mk ->
+          finish_obs obs (run_profile f p pa m mk))
+      $ domains_setup $ obs_setup $ file_arg $ pi_arg $ pi_all_arg
       $ mode_arg ~baselines:false $ models_arg `Oracle)
 
 let storage_cmd =

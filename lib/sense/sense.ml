@@ -658,11 +658,11 @@ let check ?file t =
         match Graph.net_id g net with
         | None -> []
         | Some id ->
-          Array.to_list (Graph.readers g ~net:id)
-          |> List.filter_map (fun (c, _) ->
-               if t.s_cells.(c) <> None then Some (Graph.cell_name g c)
-               else None)
-          |> List.sort_uniq compare
+          let names = ref [] in
+          Graph.iter_readers g ~net:id (fun c ->
+              if t.s_cells.(c) <> None then
+                names := Graph.cell_name g c :: !names);
+          List.sort_uniq compare !names
       in
       if consumers <> [] then
         add

@@ -23,10 +23,34 @@ val create :
     exist, and the design is acyclic.  Raises [Invalid_argument] with a
     descriptive message otherwise: the first defect, by class in that
     order, and a duplicate or an arity mismatch by cell position.  Every
-    check but arity runs in {!Proxim_timing.Graph.build}, the one pass
-    that hashes the design's names, on the ids it interns. *)
+    check but arity runs in {!Proxim_timing.Graph.of_ids}, after
+    {!Proxim_timing.Graph.build} has numbered the names. *)
+
+val of_ids :
+  net_names:string array ->
+  cell_names:string array ->
+  gates:Proxim_gates.Gate.t array ->
+  cell_inputs:int array array ->
+  cell_outputs:int array ->
+  primary_inputs:int array ->
+  primary_outputs:int array ->
+  t
+(** {!create} for a netlist already numbered: net [i] is named
+    [net_names.(i)], and cell [c] is an instance of [gates.(c)] named
+    [cell_names.(c)] reading [cell_inputs.(c)] and driving
+    [cell_outputs.(c)].  No name is hashed but to build the graph's name
+    tables, and every cell's [input_nets]/[output_net] share the
+    [net_names] strings.  The checks, their precedence and their
+    messages (["Design.create: ..."]) are {!create}'s.  Given the
+    canonical numbering {!Proxim_timing.Graph.build} assigns, the graph
+    is the one {!create} builds from the same netlist.
+    @raise Invalid_argument also if the per-cell arrays differ in
+    length, a net id is out of range, or two nets share a name. *)
 
 val cells : t -> cell list
+(** In declaration order, built afresh from the graph's payloads on each
+    call. *)
+
 val primary_inputs : t -> string list
 val primary_outputs : t -> string list
 

@@ -53,13 +53,12 @@ let flatten ?wire_cap design ~pi_waves =
      exactly what Design.fanout_load charges the driver with *)
   List.iter
     (fun net_name ->
-      let pin_caps =
-        Array.fold_left
-          (fun acc (c, _pin) ->
-            acc +. Gate.input_capacitance (Graph.payload g c).Design.gate)
-          0.
-          (Graph.readers g ~net:(Option.get (Graph.net_id g net_name)))
-      in
+      let pin_caps = ref 0. in
+      Graph.iter_readers g ~net:(Option.get (Graph.net_id g net_name))
+        (fun c ->
+          pin_caps :=
+            !pin_caps +. Gate.input_capacitance (Graph.payload g c).Design.gate);
+      let pin_caps = !pin_caps in
       let wire = Design.fanout_load ?wire_cap design ~net:net_name -. pin_caps in
       let total = pin_caps +. wire in
       if total > 0. then

@@ -1,4 +1,5 @@
 module Vtc = Proxim_vtc.Vtc
+module Graph = Proxim_timing.Graph
 
 type loaded = string * Design.t * Vtc.thresholds option
 
@@ -17,12 +18,12 @@ let load tech path =
     | text -> of_text tech text
 
 let thresholds tech design file_th =
+  let g = Design.graph design in
   match file_th with
   | Some th -> th
+  | None when Graph.cell_count g > 0 ->
+    Vtc.thresholds (Graph.payload g 0).Design.gate
   | None -> (
-    match Design.cells design with
-    | c :: _ -> Vtc.thresholds c.Design.gate
-    | [] -> (
-      match Proxim_gates.Gate.of_name tech "inv" with
-      | Ok g -> Vtc.thresholds g
-      | Error m -> failwith m))
+    match Proxim_gates.Gate.of_name tech "inv" with
+    | Ok g -> Vtc.thresholds g
+    | Error m -> failwith m)

@@ -361,20 +361,17 @@ let report_with ir ~heads =
     List.map (Graph.cell_output g) (Array.to_list (Graph.topological g))
   in
   let arrivals = heads @ named_arrivals ir outs in
+  (* the first latest switching output, duplicates included *)
   let critical_po =
-    List.fold_left
+    Array.fold_left
       (fun best net ->
-        match
-          Option.bind (Graph.net_id g net) (fun id ->
-              Timing.arrival ir.timing ~net:id)
-        with
+        match Timing.arrival ir.timing ~net with
         | None -> best
         | Some a -> (
           match best with
           | Some (_, (b : arrival)) when b.time >= a.time -> best
-          | Some _ | None -> Some (net, a)))
-      None
-      (Design.primary_outputs ir.design)
+          | Some _ | None -> Some (Graph.net_name g net, a)))
+      None (Graph.primary_outputs g)
   in
   let predecessors =
     List.filter_map

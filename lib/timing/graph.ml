@@ -61,6 +61,86 @@ let reachable ~n ~succ ~roots =
   seen
 
 (* ------------------------------------------------------------------ *)
+(* Name tables                                                         *)
+
+(* A name -> id table is one flat int array of slots over an array of
+   names: open addressing with linear probing, each slot an id or
+   [empty], the capacity a power of two at least twice the name count.
+   A probe compares against [names.(id)], so an entry costs one int and
+   inserting one allocates nothing. *)
+
+let empty = -1
+
+let slots_for n =
+  let cap = ref 16 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  Array.make !cap empty
+
+(* the slot holding [name], or the empty slot that ends its probe run *)
+let probe slots names name =
+  let mask = Array.length slots - 1 in
+  let i = ref (Hashtbl.hash name land mask) in
+  while
+    let id = slots.(!i) in
+    id <> empty && not (String.equal names.(id) name)
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let find slots names name =
+  let id = slots.(probe slots names name) in
+  if id = empty then None else Some id
+
+(* The table over [names], or the position of the first name that
+   repeats an earlier one. *)
+let index names =
+  let slots = slots_for (Array.length names) in
+  let dup = ref (-1) in
+  let i = ref 0 in
+  while !dup < 0 && !i < Array.length names do
+    let s = probe slots names names.(!i) in
+    if slots.(s) = empty then slots.(s) <- !i else dup := !i;
+    incr i
+  done;
+  if !dup < 0 then Ok slots else Error !dup
+
+(* A growing table that numbers names by first appearance. *)
+type interner = {
+  mutable names : string array;
+  mutable count : int;
+  mutable slots : int array;
+}
+
+let interner n = { names = Array.make (max n 1) ""; count = 0; slots = slots_for n }
+
+let intern t name =
+  let s = probe t.slots t.names name in
+  let id = t.slots.(s) in
+  if id <> empty then id
+  else begin
+    let id = t.count in
+    if id = Array.length t.names then begin
+      let names = Array.make (2 * id) "" in
+      Array.blit t.names 0 names 0 id;
+      t.names <- names
+    end;
+    t.names.(id) <- name;
+    t.count <- id + 1;
+    if 2 * t.count <= Array.length t.slots then t.slots.(s) <- id
+    else begin
+      let slots = slots_for t.count in
+      for j = 0 to t.count - 1 do
+        slots.(probe slots t.names t.names.(j)) <- j
+      done;
+      t.slots <- slots
+    end;
+    id
+  end
+
+(* ------------------------------------------------------------------ *)
 (* The arena                                                           *)
 
 type 'cell spec = {
@@ -70,22 +150,19 @@ type 'cell spec = {
   spec_output : string;
 }
 
-module Names = Hashtbl.Make (struct
-  type t = string
-  let equal = String.equal
-  let hash = Hashtbl.hash
-end)
-
 type 'cell t = {
   net_names : string array;
-  net_ids : int Names.t;
+  net_slots : int array;  (* name table over [net_names] *)
   cell_names : string array;
-  cell_ids : int Names.t;
+  cell_slots : int array;  (* name table over [cell_names] *)
   payloads : 'cell array;
   cell_inputs : int array array;  (* cell -> input net ids, pin order *)
   cell_outputs : int array;  (* cell -> output net id *)
   net_driver : int array;  (* net -> driving cell id, or -1 for sources *)
-  net_readers : (int * int) array array;  (* net -> (cell, pin), file order *)
+  (* the cells reading net [n], once per pin, in declaration order:
+     [reader_cell] from [reader_start.(n)] to [reader_start.(n + 1)] *)
+  reader_start : int array;
+  reader_cell : int array;
   pis : int array;
   pos : int array;
   topo : int array;  (* cells, drivers before readers *)
@@ -105,119 +182,110 @@ exception Malformed of defect
 
 let malformed d = raise (Malformed d)
 
-let build ~cells ~primary_inputs ~primary_outputs =
-  let cells = Array.of_list cells in
-  let n_cells = Array.length cells in
-  (* the one interning pass of a design load: sized up front so a
-     million-cell netlist never rehashes *)
-  let net_ids = Names.create (n_cells + List.length primary_inputs) in
-  let net_names_rev = ref [] in
-  let n_nets = ref 0 in
-  let intern name =
-    match Names.find_opt net_ids name with
-    | Some id -> id
-    | None ->
-      let id = !n_nets in
-      incr n_nets;
-      Names.add net_ids name id;
-      net_names_rev := name :: !net_names_rev;
-      id
+(* [of_ids] once the net-name table exists *)
+let assemble ~net_names ~net_slots ~cell_names ~payloads ~cell_inputs
+    ~cell_outputs ~primary_inputs:pis ~primary_outputs:pos =
+  let n_nets = Array.length net_names in
+  let n_cells = Array.length cell_names in
+  let cell_slots =
+    match index cell_names with
+    | Ok slots -> slots
+    | Error i -> malformed (Duplicate_cell { position = i; name = cell_names.(i) })
   in
-  let pis = Array.of_list (List.map intern primary_inputs) in
-  (* primary inputs are interned first: ids below [n_pi] are sources *)
-  let n_pi = !n_nets in
-  let cell_ids = Names.create n_cells in
-  Array.iteri
-    (fun i c ->
-      if Names.mem cell_ids c.spec_name then
-        malformed (Duplicate_cell { position = i; name = c.spec_name });
-      Names.add cell_ids c.spec_name i)
-    cells;
-  let cell_inputs = Array.map (fun c -> Array.map intern c.spec_inputs) cells in
-  let cell_outputs = Array.map (fun c -> intern c.spec_output) cells in
-  let pos = Array.of_list (List.map intern primary_outputs) in
-  let n_nets = !n_nets in
-  let net_names = Array.of_list (List.rev !net_names_rev) in
+  let is_pi = Bytes.make n_nets '\000' in
+  Array.iter (fun net -> Bytes.set is_pi net '\001') pis;
   let net_driver = Array.make n_nets (-1) in
   Array.iteri
     (fun i out ->
       if net_driver.(out) >= 0 then malformed (Driven_twice net_names.(out));
-      if out < n_pi then malformed (Input_driven net_names.(out));
+      if Bytes.get is_pi out <> '\000' then malformed (Input_driven net_names.(out));
       net_driver.(out) <- i)
     cell_outputs;
-  let sourced net = net < n_pi || net_driver.(net) >= 0 in
+  let sourced net = Bytes.get is_pi net <> '\000' || net_driver.(net) >= 0 in
+  (* net [n]'s readers will sit at [reader_start.(n)] onwards *)
+  let reader_start = Array.make (n_nets + 1) 0 in
   Array.iter
     (Array.iter (fun net ->
-         if not (sourced net) then malformed (Undriven_net net_names.(net))))
+         if not (sourced net) then malformed (Undriven_net net_names.(net));
+         reader_start.(net + 1) <- reader_start.(net + 1) + 1))
     cell_inputs;
   Array.iter
     (fun net ->
       if not (sourced net) then malformed (Undriven_output net_names.(net)))
     pos;
-  let readers_rev = Array.make n_nets [] in
+  (* readers by count and fill, in declaration order *)
+  for net = 1 to n_nets do
+    reader_start.(net) <- reader_start.(net) + reader_start.(net - 1)
+  done;
+  let n_pins = reader_start.(n_nets) in
+  let reader_cell = Array.make n_pins 0 in
+  let fill = Array.sub reader_start 0 n_nets in
   Array.iteri
     (fun i inputs ->
-      Array.iteri
-        (fun pin net -> readers_rev.(net) <- (i, pin) :: readers_rev.(net))
-        inputs)
+      for pin = 0 to Array.length inputs - 1 do
+        let net = inputs.(pin) in
+        let k = fill.(net) in
+        reader_cell.(k) <- i;
+        fill.(net) <- k + 1
+      done)
     cell_inputs;
-  let net_readers = Array.map (fun l -> Array.of_list (List.rev l)) readers_rev in
   (* topological order: DFS postorder over the cells in declaration order,
      fanin first — the traversal {!Design.create} historically used, so
-     downstream report orders are unchanged *)
-  let topo_rev = ref [] in
-  let state = Array.make n_cells `White in
+     downstream report orders are unchanged.  A cell finishes after its
+     drivers, so its level (one above its deepest driven input, 0 when
+     fed by sources only) is set as it finishes. *)
+  let topo = Array.make n_cells 0 in
+  let cell_levels = Array.make n_cells 0 in
+  let n_done = ref 0 in
+  (* 0 unvisited, 1 on the DFS stack, 2 finished *)
+  let state = Bytes.make n_cells '\000' in
   let rec visit i =
-    match state.(i) with
-    | `Black -> ()
-    | `Gray -> malformed (Cycle { through = cells.(i).spec_name })
-    | `White ->
-      state.(i) <- `Gray;
-      Array.iter
-        (fun net ->
-          let d = net_driver.(net) in
-          if d >= 0 then visit d)
-        cell_inputs.(i);
-      state.(i) <- `Black;
-      topo_rev := i :: !topo_rev
+    match Bytes.get state i with
+    | '\002' -> ()
+    | '\001' -> malformed (Cycle { through = cell_names.(i) })
+    | _ ->
+      Bytes.set state i '\001';
+      let inputs = cell_inputs.(i) in
+      let level = ref 0 in
+      for pin = 0 to Array.length inputs - 1 do
+        let d = net_driver.(inputs.(pin)) in
+        if d >= 0 then begin
+          visit d;
+          if cell_levels.(d) >= !level then level := cell_levels.(d) + 1
+        end
+      done;
+      Bytes.set state i '\002';
+      cell_levels.(i) <- !level;
+      topo.(!n_done) <- i;
+      incr n_done
   in
   for i = 0 to n_cells - 1 do
     visit i
   done;
-  let topo = Array.of_list (List.rev !topo_rev) in
-  (* levels: a cell sits one level above its deepest driven input *)
-  let cell_levels = Array.make n_cells 0 in
+  let n_levels = ref 0 in
+  Array.iter (fun l -> if l >= !n_levels then n_levels := l + 1) cell_levels;
+  (* each level's cells in topo order, by count and fill *)
+  let fill = Array.make !n_levels 0 in
+  Array.iter (fun l -> fill.(l) <- fill.(l) + 1) cell_levels;
+  let levels = Array.map (fun k -> Array.make k 0) fill in
+  Array.fill fill 0 !n_levels 0;
   Array.iter
     (fun i ->
-      let l =
-        Array.fold_left
-          (fun acc net ->
-            let d = net_driver.(net) in
-            if d >= 0 then max acc (cell_levels.(d) + 1) else acc)
-          0 cell_inputs.(i)
-      in
-      cell_levels.(i) <- l)
+      let l = cell_levels.(i) in
+      levels.(l).(fill.(l)) <- i;
+      fill.(l) <- fill.(l) + 1)
     topo;
-  let n_levels =
-    Array.fold_left (fun acc l -> max acc (l + 1)) 0 cell_levels
-  in
-  let level_rev = Array.make n_levels [] in
-  (* walk topo backwards so each level list ends up in topo order *)
-  for k = Array.length topo - 1 downto 0 do
-    let i = topo.(k) in
-    level_rev.(cell_levels.(i)) <- i :: level_rev.(cell_levels.(i))
-  done;
-  let levels = Array.map Array.of_list level_rev in
   {
     net_names;
-    net_ids;
-    cell_names = Array.map (fun c -> c.spec_name) cells;
-    cell_ids;
-    payloads = Array.map (fun c -> c.spec_payload) cells;
+    net_slots;
+    cell_names;
+    cell_slots;
+    payloads;
     cell_inputs;
     cell_outputs;
     net_driver;
-    net_readers;
+    reader_start;
+    reader_cell;
     pis;
     pos;
     topo;
@@ -225,12 +293,53 @@ let build ~cells ~primary_inputs ~primary_outputs =
     levels;
   }
 
+let of_ids ~net_names ~cell_names ~payloads ~cell_inputs ~cell_outputs
+    ~primary_inputs ~primary_outputs =
+  let n_nets = Array.length net_names in
+  let n_cells = Array.length cell_names in
+  if
+    Array.length payloads <> n_cells
+    || Array.length cell_inputs <> n_cells
+    || Array.length cell_outputs <> n_cells
+  then invalid_arg "Graph.of_ids: per-cell arrays differ in length";
+  let check net =
+    if net < 0 || net >= n_nets then
+      invalid_arg (Printf.sprintf "Graph.of_ids: net id %d out of range" net)
+  in
+  Array.iter (Array.iter check) cell_inputs;
+  Array.iter check cell_outputs;
+  Array.iter check primary_inputs;
+  Array.iter check primary_outputs;
+  match index net_names with
+  | Error i -> invalid_arg ("Graph.of_ids: duplicate net name " ^ net_names.(i))
+  | Ok net_slots ->
+    assemble ~net_names ~net_slots ~cell_names ~payloads ~cell_inputs
+      ~cell_outputs ~primary_inputs ~primary_outputs
+
+let build ~cells ~primary_inputs ~primary_outputs =
+  let cells = Array.of_list cells in
+  (* sized for a netlist whose nets are mostly cell outputs, so a
+     generated design never rehashes *)
+  let names = interner (Array.length cells + List.length primary_inputs) in
+  let primary_inputs = Array.of_list (List.map (intern names) primary_inputs) in
+  let cell_inputs =
+    Array.map (fun c -> Array.map (intern names) c.spec_inputs) cells
+  in
+  let cell_outputs = Array.map (fun c -> intern names c.spec_output) cells in
+  let primary_outputs = Array.of_list (List.map (intern names) primary_outputs) in
+  assemble
+    ~net_names:(Array.sub names.names 0 names.count)
+    ~net_slots:names.slots
+    ~cell_names:(Array.map (fun c -> c.spec_name) cells)
+    ~payloads:(Array.map (fun c -> c.spec_payload) cells)
+    ~cell_inputs ~cell_outputs ~primary_inputs ~primary_outputs
+
 let net_count t = Array.length t.net_names
 let cell_count t = Array.length t.payloads
 let net_name t id = t.net_names.(id)
-let net_id t name = Names.find_opt t.net_ids name
+let net_id t name = find t.net_slots t.net_names name
 let cell_name t id = t.cell_names.(id)
-let cell_id t name = Names.find_opt t.cell_ids name
+let cell_id t name = find t.cell_slots t.cell_names name
 let payload t id = t.payloads.(id)
 let cell_inputs t id = t.cell_inputs.(id)
 let cell_output t id = t.cell_outputs.(id)
@@ -238,7 +347,10 @@ let cell_output t id = t.cell_outputs.(id)
 let driver t ~net = if t.net_driver.(net) >= 0 then Some t.net_driver.(net) else None
 let driver_id t ~net = t.net_driver.(net)
 
-let readers t ~net = t.net_readers.(net)
+let iter_readers t ~net f =
+  for k = t.reader_start.(net) to t.reader_start.(net + 1) - 1 do
+    f t.reader_cell.(k)
+  done
 let primary_inputs t = t.pis
 let primary_outputs t = t.pos
 let topological t = t.topo
@@ -263,7 +375,7 @@ let fanout_cone t ~nets ~cells =
       dirty.(i) <- true;
       mark_net t.cell_outputs.(i)
     end
-  and mark_net net = Array.iter (fun (c, _) -> mark_cell c) t.net_readers.(net) in
+  and mark_net net = iter_readers t ~net mark_cell in
   List.iter mark_net nets;
   List.iter mark_cell cells;
   dirty

@@ -38,8 +38,8 @@ type 'cell spec = {
 
 type 'cell t
 
-(** Why {!build} rejected a netlist, with names as the caller spelled
-    them. *)
+(** Why {!of_ids} (and so {!build}) rejected a netlist, with names as
+    the caller spelled them. *)
 type defect =
   | Duplicate_cell of { position : int; name : string }
       (** the second cell named [name], at [position] in [cells] *)
@@ -52,22 +52,46 @@ type defect =
 
 exception Malformed of defect
 
+val of_ids :
+  net_names:string array ->
+  cell_names:string array ->
+  payloads:'cell array ->
+  cell_inputs:int array array ->
+  cell_outputs:int array ->
+  primary_inputs:int array ->
+  primary_outputs:int array ->
+  'cell t
+(** The one constructor that checks a graph.  Net [i] is named
+    [net_names.(i)]; cell [c] is named [cell_names.(c)], carries
+    [payloads.(c)], reads [cell_inputs.(c)] (pin order) and drives
+    [cell_outputs.(c)].  The arrays are kept, not copied.
+
+    Precomputes adjacency, topological order (drivers before readers;
+    DFS postorder over the cells in declaration order) and levels.  The
+    structural checks raise {!Malformed} with the first defect, taking
+    the classes in this order and each class in declaration order:
+    duplicate cells; nets with two sources ([Driven_twice],
+    [Input_driven]); undriven read nets; undriven primary outputs;
+    cycles.  Pin arity is the caller's to check.
+
+    Name lookups ({!net_id}, {!cell_id}) go through one flat
+    open-addressing [int] array per table, built here over the names
+    arrays at load at most 1/2; an entry costs one int and no
+    allocation.
+
+    @raise Invalid_argument if the per-cell arrays differ in length, a
+    net id is out of range, or two nets share a name — preconditions,
+    checked before any {!Malformed} defect. *)
+
 val build :
   cells:'cell spec list ->
   primary_inputs:string list ->
   primary_outputs:string list ->
   'cell t
-(** Intern the nets and cells and precompute adjacency, topological order
-    (drivers before readers; DFS postorder over the cells in declaration
-    order) and levels.  This is the one place a design's names are
-    hashed, into [String.equal] tables sized from the cell and primary
-    input counts.  Net ids follow first appearance: primary inputs, cell
-    inputs, cell outputs, primary outputs.  The structural checks run on
-    those ids and raise {!Malformed} with the first defect, taking the
-    classes in this order and each class in declaration order: duplicate
-    cells; nets with two sources ([Driven_twice], [Input_driven]);
-    undriven read nets; undriven primary outputs; cycles.  Pin arity is
-    the caller's to check. *)
+(** Intern the names, then {!of_ids}.  Net ids follow first
+    appearance: primary inputs, cell inputs, cell outputs, primary
+    outputs — the canonical numbering the binary netlist format stores.
+    The interner is the same flat table, grown by doubling. *)
 
 val net_count : 'cell t -> int
 val cell_count : 'cell t -> int
@@ -88,8 +112,10 @@ val driver_id : 'cell t -> net:int -> int
     once per evaluation — this form costs one array load and no
     allocation. *)
 
-val readers : 'cell t -> net:int -> (int * int) array
-(** [(cell, pin)] pairs reading [net], in declaration order. *)
+val iter_readers : 'cell t -> net:int -> (int -> unit) -> unit
+(** [iter_readers g ~net f] applies [f] to each cell reading [net], once
+    per pin that reads it, in declaration order.  The readers of every
+    net are kept in one flat array, so this allocates nothing. *)
 
 val primary_inputs : 'cell t -> int array
 val primary_outputs : 'cell t -> int array

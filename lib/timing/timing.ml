@@ -297,7 +297,7 @@ let update ?pool t ~dirty_nets ~dirty_cells =
   in
   List.iter enqueue dirty_cells;
   List.iter
-    (fun net -> Array.iter (fun (c, _) -> enqueue c) (Graph.readers g ~net))
+    (fun net -> Graph.iter_readers g ~net enqueue)
     dirty_nets;
   let evaluated = ref 0 in
   let changed = ref 0 in
@@ -319,9 +319,7 @@ let update ?pool t ~dirty_nets ~dirty_cells =
           if differs t.soa c v then begin
             commit t.soa c v;
             incr changed;
-            Array.iter
-              (fun (r, _) -> enqueue r)
-              (Graph.readers g ~net:(Graph.cell_output g c))
+            Graph.iter_readers g ~net:(Graph.cell_output g c) enqueue
           end
         in
         eval_cells t pool ~level:l ~cells ~apply

@@ -235,6 +235,41 @@ let test_binary_netlists () =
         [ "verify"; "hazards"; "sense"; "verify --format json";
           "hazards --format json"; "sense --format json" ])
 
+(* profile drives a design with --pi-all through sta's stimulus parser:
+   on a generated design both name the same critical output, and a
+   malformed spec gets sta's message and exit code *)
+let test_profile_pi_all () =
+  let pxb = Filename.temp_file "proxim_cli" ".pxb" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove pxb with Sys_error _ -> ())
+    (fun () ->
+      let pxb = Filename.quote pxb in
+      let code, _, err = run "%s gen -n 60 --seed 2 -o %s" cli pxb in
+      Alcotest.(check (pair int string)) "gen" (0, "") (code, err);
+      let lines prefix out =
+        List.filter (String.starts_with ~prefix) (String.split_on_char '\n' out)
+      in
+      let code, out_p, err =
+        run "%s profile %s --models synthetic --pi-all fall:300:0" cli pxb
+      in
+      Alcotest.(check (pair int string)) "profile --pi-all" (0, "") (code, err);
+      Alcotest.(check int) "phase coverage line" 1
+        (List.length (lines "phase coverage:" out_p));
+      let _, out_s, _ =
+        run "%s sta %s --models synthetic --pi-all fall:300:0" cli pxb
+      in
+      Alcotest.(check int) "sta names one critical output" 1
+        (List.length (lines "critical output:" out_s));
+      Alcotest.(check (list string)) "same critical output as sta"
+        (lines "critical output:" out_s)
+        (lines "critical output:" out_p);
+      let code, err =
+        run_err "%s profile %s --models synthetic --pi-all fall:nan:oops" cli
+          pxb
+      in
+      Alcotest.(check (pair int string)) "malformed --pi-all"
+        (2, "bad numbers in event fall:nan:oops") (code, err))
+
 let () =
   Alcotest.run "cli"
     [
@@ -255,6 +290,7 @@ let () =
             test_valid_events_accepted;
           Alcotest.test_case "text and binary netlists" `Quick
             test_binary_netlists;
+          Alcotest.test_case "profile --pi-all" `Quick test_profile_pi_all;
           Alcotest.test_case "sta runs no prune masks" `Quick
             test_sta_default_runs_no_masks;
         ] );

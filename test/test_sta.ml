@@ -82,10 +82,13 @@ let test_create_validation () =
 
 (* ---- every Design.create message, through every loader ---- *)
 
-(* A PXNB encoding of an arbitrary (possibly malformed) netlist, written
+(* PXNB encodings of an arbitrary (possibly malformed) netlist, written
    from the format description rather than by Netlist_bin.write_channel,
-   which only serializes valid designs. *)
-let pxnb_of ~cells ~pis ~pos =
+   which only serializes valid designs.  Version 1 spells every pin as a
+   net name; version 2 writes the net table once, in first-appearance
+   order over primary inputs, cell inputs, cell outputs and primary
+   outputs, and every pin as an id into it. *)
+let pxnb_of ~version ~cells ~pis ~pos =
   let b = Buffer.create 256 in
   let rec varint n =
     if n < 0x80 then Buffer.add_char b (Char.chr n)
@@ -98,27 +101,46 @@ let pxnb_of ~cells ~pis ~pos =
     varint (String.length s);
     Buffer.add_string b s
   in
-  let strs l =
+  let list f l =
     varint (List.length l);
-    List.iter str l
+    List.iter f l
   in
-  Buffer.add_string b "PXNB\x01";
+  let ids = Hashtbl.create 16 in
+  let table = ref [] in
+  let id net =
+    match Hashtbl.find_opt ids net with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids net i;
+      table := net :: !table;
+      i
+  in
+  List.iter (fun n -> ignore (id n)) pis;
+  List.iter (fun c -> Array.iter (fun n -> ignore (id n)) c.Design.input_nets) cells;
+  List.iter (fun c -> ignore (id c.Design.output_net)) cells;
+  List.iter (fun n -> ignore (id n)) pos;
+  (* a pin: its name in v1, its id in v2 *)
+  let net n = if version = 1 then str n else varint (id n) in
+  Buffer.add_string b "PXNB";
+  Buffer.add_char b (Char.chr version);
   str "bad";
   Buffer.add_char b '\x00' (* no thresholds *);
   let gates =
     List.sort_uniq compare (List.map (fun c -> c.Design.gate.Gate.name) cells)
   in
-  strs gates;
-  strs pis;
-  strs pos;
-  varint (List.length cells);
-  List.iter
+  list str gates;
+  if version = 2 then list str (List.rev !table);
+  list net pis;
+  list net pos;
+  list
     (fun c ->
       let name = c.Design.gate.Gate.name in
       varint (Option.get (List.find_index (String.equal name) gates));
       str c.Design.name;
-      str c.Design.output_net;
-      strs (Array.to_list c.Design.input_nets))
+      if version = 1 then str c.Design.output_net
+      else varint (id c.Design.output_net);
+      list net (Array.to_list c.Design.input_nets))
     cells;
   Buffer.add_char b '\xED';
   Buffer.contents b
@@ -139,28 +161,31 @@ let create_error ~cells ~pis ~pos =
   | _ -> Ok ()
   | exception Invalid_argument m -> Error m
 
-let bin_error ~cells ~pis ~pos =
+let bin_error ~version ~cells ~pis ~pos =
   let path = Filename.temp_file "proxim_design" ".pxb" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Out_channel.with_open_bin path (fun oc ->
-          output_string oc (pxnb_of ~cells ~pis ~pos));
+          output_string oc (pxnb_of ~version ~cells ~pis ~pos));
       In_channel.with_open_bin path (fun ic ->
           Result.map ignore (Netlist_bin.read_channel tech ic)))
 
 let text_error ~cells ~pis ~pos =
   Result.map ignore (Netlist_file.of_text tech (text_of ~cells ~pis ~pos))
 
-(* [expect] from Design.create and the PXNB loader alike; the text loader
-   too, unless the netlist has an arity mismatch, which its scanner
-   reports first with a line number ([text], pinned separately). *)
+(* [expect] from Design.create and both PXNB versions alike; the text
+   loader too, unless the netlist has an arity mismatch, which its
+   scanner reports first with a line number ([text], pinned
+   separately). *)
 let check_defect ?text what ~cells ~pis ~pos expect =
   let result = Alcotest.(result unit string) in
   Alcotest.check result (what ^ ": Design.create") (Error expect)
     (create_error ~cells ~pis ~pos);
-  Alcotest.check result (what ^ ": PXNB") (Error expect)
-    (bin_error ~cells ~pis ~pos);
+  Alcotest.check result (what ^ ": PXNB v1") (Error expect)
+    (bin_error ~version:1 ~cells ~pis ~pos);
+  Alcotest.check result (what ^ ": PXNB v2") (Error expect)
+    (bin_error ~version:2 ~cells ~pis ~pos);
   Alcotest.check result (what ^ ": text")
     (Error (Option.value text ~default:expect))
     (text_error ~cells ~pis ~pos)
@@ -257,7 +282,9 @@ let test_fanout_load () =
     (match Graph.driver g ~net:n1 with
      | Some c -> String.equal (Graph.cell_name g c) "u1"
      | None -> false);
-  Alcotest.(check int) "readers" 1 (Array.length (Graph.readers g ~net:n1));
+  let readers = ref 0 in
+  Graph.iter_readers g ~net:n1 (fun _ -> incr readers);
+  Alcotest.(check int) "readers" 1 !readers;
   Alcotest.(check (float 0.)) "a net the design never mentions" 20e-15
     (Design.fanout_load d ~net:"nowhere")
 
@@ -385,6 +412,30 @@ let test_po_slacks_matches_assoc () =
   Alcotest.(check int) "the PI output and two switching nets" 3
     (List.length (Sta.po_slacks d report ~required:0.))
 
+(* the critical output is the first latest switching one in primary
+   output order, a repeated output included *)
+let test_critical_po_first_max () =
+  let th = Lazy.force thresholds in
+  let pi = [ ("a", { Sta.time = 0.; slew = 2e-10; edge = Measure.Fall }) ] in
+  let critical pos =
+    let d =
+      Design.create
+        ~cells:
+          [ cell "u1" inv [| "a" |] "y1"; cell "u2" inv [| "a" |] "y2";
+            cell "u3" inv [| "y1" |] "z" ]
+        ~primary_inputs:[ "a" ] ~primary_outputs:pos
+    in
+    let { Sta.models; _ } = Sta.synthetic_factory () in
+    Option.map fst (Sta.analyze ~models ~thresholds:th d ~pi).Sta.critical_po
+  in
+  let check what pos expect =
+    Alcotest.(check (option string)) what expect (critical pos)
+  in
+  check "tie: the first listed" [ "y2"; "y1"; "y2" ] (Some "y2");
+  check "tie: listed the other way" [ "y1"; "y2" ] (Some "y1");
+  check "repeats of the latest" [ "y1"; "z"; "y2"; "z" ] (Some "z");
+  check "a primary input output" [ "a" ] (Some "a")
+
 let test_mixed_edges_rejected () =
   let d = tree () in
   let th = Lazy.force thresholds in
@@ -423,5 +474,7 @@ let () =
           Alcotest.test_case "mixed edges" `Quick test_mixed_edges_rejected;
           Alcotest.test_case "po slacks match assoc scan" `Quick
             test_po_slacks_matches_assoc;
+          Alcotest.test_case "critical output: first latest" `Quick
+            test_critical_po_first_max;
         ] );
     ]
